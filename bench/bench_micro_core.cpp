@@ -71,30 +71,6 @@ void BM_ScanChip(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanChip);
 
-void BM_PowerMatcher(benchmark::State& state) {
-  ClusterConfig cfg;
-  cfg.num_processors = 256;
-  const Cluster cluster = build_cluster(cfg);
-  const Knowledge knowledge(&cluster, KnowledgeSource::kBin);
-  const PowerMatcher matcher(&knowledge, 1.4);
-  Rng rng(4);
-  std::vector<ActiveTask> tasks(static_cast<std::size_t>(state.range(0)));
-  std::size_t next_proc = 0;
-  for (auto& t : tasks) {
-    t.remaining_work_s = rng.uniform(100.0, 5000.0);
-    t.deadline_s = t.remaining_work_s * rng.uniform(2.0, 12.0);
-    t.gamma = rng.uniform(0.5, 1.0);
-    for (int k = 0; k < 4; ++k)
-      t.procs.push_back(next_proc++ % cluster.size());
-  }
-  for (auto _ : state) {
-    auto copy = tasks;
-    const MatchResult r = matcher.match(copy, Watts{5e3}, 0.0);
-    benchmark::DoNotOptimize(r.demand.watts());
-  }
-}
-BENCHMARK(BM_PowerMatcher)->Arg(16)->Arg(64);
-
 void BM_WindTraceDay(benchmark::State& state) {
   WindFarmConfig cfg;
   for (auto _ : state) {
@@ -156,14 +132,10 @@ BENCHMARK(BM_OracleForecast);
 
 // --- SoA matcher kernels (DESIGN.md Sec. 14) -----------------------------
 //
-// The scalar-vs-SIMD story spans two *builds*: the committed
-// BENCH_micro_core.scalar.json capture comes from the default build and
-// BENCH_micro_core.simd.json from -DISCOPE_SIMD=ON. Within either build,
-// BM_FloorScanRowsScalar pins the portable kernel while BM_FloorScanRows
-// takes the dispatched one, so the SIMD capture carries its own in-build
-// baseline. Every bench exports a result checksum counter; equal checksums
-// across the two captures are the bit-identity evidence at kernel scope
-// (tests/test_match_equivalence.cpp proves it at schedule scope).
+// Every bench exports a result checksum counter, so two captures of the
+// same kernels can be checked for equal results as well as compared on
+// time (tests/test_match_equivalence.cpp proves bit-identity at schedule
+// scope).
 
 /// One synthetic running-task population as MatcherColumns rows, sized and
 /// distributed like the fig8 steady state (4-CPU tasks, loose-to-tight
@@ -222,27 +194,6 @@ struct SoaFixture {
   std::vector<double> slowdown_ratio;
   MatcherColumns cols;
 };
-
-void BM_FloorScanRowsScalar(benchmark::State& state) {
-  SoaFixture fx(static_cast<std::size_t>(state.range(0)));
-  const MatcherColumns& c = fx.cols;
-  std::vector<std::size_t> floor(c.count);
-  std::size_t checksum = 0;
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < c.count; ++r) {
-      floor[r] = soa::floor_scan_scalar(c.slowdown.data() + r * c.levels,
-                                        c.levels, c.remaining[r],
-                                        c.deadline[r]);
-    }
-    checksum = 0;
-    for (const std::size_t f : floor) checksum += f;
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.counters["floor_checksum"] = static_cast<double>(checksum);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_FloorScanRowsScalar)->Arg(64)->Arg(512);
 
 void BM_FloorScanRows(benchmark::State& state) {
   SoaFixture fx(static_cast<std::size_t>(state.range(0)));

@@ -19,8 +19,8 @@ PowerMatcher::PowerMatcher(const Knowledge* knowledge, double cooling_factor)
     slowdown_ratio_.push_back(fmax / f - 1.0);
 }
 
-Watts PowerMatcher::task_power_reference(const ActiveTask& task,
-                                         std::size_t level) const {
+Watts PowerMatcher::task_power(const ActiveTask& task,
+                               std::size_t level) const {
   Watts p;
   for (const std::size_t id : task.procs) p += knowledge_->power(id, level);
   return p;
@@ -73,73 +73,6 @@ struct StepLess {
 
 }  // namespace
 
-MatchResult PowerMatcher::match(std::vector<ActiveTask>& tasks,
-                                Watts wind_avail, double now_s,
-                                MatchScratch& scratch) const {
-  ISCOPE_CHECK_ARG(wind_avail.raw() >= 0.0, "PowerMatcher: negative wind");
-
-  MatchResult result;
-  if (tasks.empty()) return result;
-
-  // Phase 1: energy-optimal deadline-feasible baseline.
-  std::vector<std::size_t>& floor = scratch.floor;
-  floor.assign(tasks.size(), 0);
-  Watts compute;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    floor[i] = min_feasible_level(tasks[i], now_s);
-    tasks[i].level = energy_optimal_level(tasks[i], floor[i]);
-    compute += task_power(tasks[i], tasks[i].level);
-  }
-
-  // Phase 2: fit under the wind budget with greedy best-saving down-steps.
-  // Stretching only pays when the budget is actually reachable: if even the
-  // all-floors demand exceeds the wind, slowing down just moves the same
-  // (utility-supplied) work later -- run the energy-optimal baseline
-  // instead and wait for wind.
-  Watts floor_compute;
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    floor_compute += task_power(tasks[i], floor[i]);
-  if (wind_avail.raw() > 0.0 && wind_avail >= floor_compute * cooling_factor_) {
-    // The scratch vector driven by push_heap/pop_heap replicates
-    // std::priority_queue's exact call sequence (see match_reference), so
-    // equal-saving pops stay in the same order.
-    std::vector<MatchScratch::Step>& heap = scratch.heap;
-    heap.clear();
-    auto push_step = [&](std::size_t i) {
-      const std::size_t l = tasks[i].level;
-      if (l == 0 || l <= floor[i]) return;
-      const Watts saving =
-          task_power(tasks[i], l) - task_power(tasks[i], l - 1);
-      heap.push_back(MatchScratch::Step{saving, i, l - 1});
-      std::push_heap(heap.begin(), heap.end(), StepLess{});
-    };
-    for (std::size_t i = 0; i < tasks.size(); ++i) push_step(i);
-
-    while (compute * cooling_factor_ > wind_avail && !heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), StepLess{});
-      const MatchScratch::Step step = heap.back();
-      heap.pop_back();
-      // At most one live entry per task (re-pushed after applying), so a
-      // level mismatch marks a stale entry.
-      if (tasks[step.task].level != step.to_level + 1) continue;
-      tasks[step.task].level = step.to_level;
-      compute -= step.saving;
-      ++result.steps;
-      push_step(step.task);
-    }
-  }
-
-  result.compute = compute;
-  result.demand = compute * cooling_factor_;
-  return result;
-}
-
-MatchResult PowerMatcher::match(std::vector<ActiveTask>& tasks,
-                                Watts wind_avail, double now_s) const {
-  MatchScratch scratch;
-  return match(tasks, wind_avail, now_s, scratch);
-}
-
 MatchResult PowerMatcher::match_columns(MatcherColumns& cols, Watts wind_avail,
                                         double now_s, MatchScratch& scratch,
                                         IncrementalMatchState* inc) const {
@@ -167,13 +100,15 @@ MatchResult PowerMatcher::match_columns(MatcherColumns& cols, Watts wind_avail,
     floor_compute += Watts{cols.power[r * levels + cols.floor[r]]};
   const Watts compute0 = compute;
 
-  // Phase 2: identical greedy to `match`, over rows instead of views.
-  // With caching on, the greedy builds and drives inc->heap in place:
-  // after the loop it is exactly the down-step heap at the deepest
-  // materialized state, which is what the extension path needs -- no
-  // copy. A gated-off phase 2 builds no heap at all (heap_built stays
-  // false; most structural rematches are invalidated before any fitting
-  // epoch could use it).
+  // Phase 2: identical greedy to `match_reference`, over rows instead of
+  // views. The vector driven by push_heap/pop_heap replicates
+  // std::priority_queue's exact call sequence, so equal-saving pops stay
+  // in the same order. With caching on, the greedy builds and drives
+  // inc->heap in place: after the loop it is exactly the down-step heap at
+  // the deepest materialized state, which is what the extension path
+  // needs -- no copy. A gated-off phase 2 builds no heap at all
+  // (heap_built stays false; most structural rematches are invalidated
+  // before any fitting epoch could use it).
   const bool fitting =
       wind_avail.raw() > 0.0 && wind_avail >= floor_compute * cooling_factor_;
   if (fitting) {
@@ -331,21 +266,25 @@ MatchResult PowerMatcher::match_reference(std::vector<ActiveTask>& tasks,
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     floor[i] = min_feasible_level(tasks[i], now_s);
     tasks[i].level = energy_optimal_level(tasks[i], floor[i]);
-    compute += task_power_reference(tasks[i], tasks[i].level);
+    compute += task_power(tasks[i], tasks[i].level);
   }
 
   // Phase 2: fit under the wind budget with greedy best-saving down-steps.
+  // Stretching only pays when the budget is actually reachable: if even the
+  // all-floors demand exceeds the wind, slowing down just moves the same
+  // (utility-supplied) work later -- run the energy-optimal baseline
+  // instead and wait for wind.
   Watts floor_compute;
   for (std::size_t i = 0; i < tasks.size(); ++i)
-    floor_compute += task_power_reference(tasks[i], floor[i]);
+    floor_compute += task_power(tasks[i], floor[i]);
   if (wind_avail.raw() > 0.0 && wind_avail >= floor_compute * cooling_factor_) {
     using Step = MatchScratch::Step;
     std::priority_queue<Step, std::vector<Step>, StepLess> heap;
     auto push_step = [&](std::size_t i) {
       const std::size_t l = tasks[i].level;
       if (l == 0 || l <= floor[i]) return;
-      const Watts saving = task_power_reference(tasks[i], l) -
-                           task_power_reference(tasks[i], l - 1);
+      const Watts saving =
+          task_power(tasks[i], l) - task_power(tasks[i], l - 1);
       heap.push(Step{saving, i, l - 1});
     };
     for (std::size_t i = 0; i < tasks.size(); ++i) push_step(i);
@@ -353,6 +292,8 @@ MatchResult PowerMatcher::match_reference(std::vector<ActiveTask>& tasks,
     while (compute * cooling_factor_ > wind_avail && !heap.empty()) {
       const Step step = heap.top();
       heap.pop();
+      // At most one live entry per task (re-pushed after applying), so a
+      // level mismatch marks a stale entry.
       if (tasks[step.task].level != step.to_level + 1) continue;
       tasks[step.task].level = step.to_level;
       compute -= step.saving;

@@ -23,14 +23,12 @@
 // there is no budget to fit under, and stretching execution would only burn
 // more (expensive) static energy.
 //
-// Hot-path notes (DESIGN.md Sec. 9): a task's per-level power is invariant
-// for its whole residency, so callers precompute it once at task start and
-// hand it to the matcher via `ActiveTask::power_by_level` -- `task_power`
-// is then O(1) instead of O(procs), and `match` with a caller-owned
-// `MatchScratch` performs zero steady-state heap allocations. The
-// pre-optimization path is retained verbatim as `match_reference` /
-// `task_power_reference`; tests/test_match_equivalence.cpp asserts the two
-// produce bit-identical schedules.
+// Two implementations (DESIGN.md Sec. 9). Production runs the SoA pair,
+// `match_columns` / `match_incremental`, over MatcherColumns rows whose
+// per-level power tables are built once at task start. `match_reference`
+// is the oracle: the same algorithm over `ActiveTask` views, summing each
+// task's power over its processors. tests/test_match_equivalence.cpp
+// asserts the two produce bit-identical schedules.
 #pragma once
 
 #include <cstddef>
@@ -47,11 +45,6 @@ struct ActiveTask {
   double deadline_s = 0.0;
   double gamma = 1.0;             ///< CPU-boundness (Eq-3)
   std::vector<std::size_t> procs; ///< processors it occupies
-  /// Optional O(1) power table: entry l is the task's total IT power at
-  /// level l in raw watts (sum over its processors, precomputed at task
-  /// start). When set, `procs` may be left empty; when null, the matcher
-  /// falls back to summing `procs` against the Knowledge view.
-  const double* power_by_level = nullptr;
   std::size_t level = 0;          ///< matcher output: assigned DVFS level
 };
 
@@ -61,9 +54,9 @@ struct MatchResult {
   std::size_t steps = 0;   ///< phase-2 DVFS down-steps taken
 };
 
-/// Reusable buffers for PowerMatcher::match. A caller that keeps one
-/// MatchScratch across calls allocates only until the buffers reach their
-/// high-water marks; after that, matching is allocation-free.
+/// Reusable buffers for PowerMatcher::match_columns. A caller that keeps
+/// one MatchScratch across calls allocates only until the buffers reach
+/// their high-water marks; after that, matching is allocation-free.
 struct MatchScratch {
   struct Step {
     Watts saving;
@@ -143,18 +136,10 @@ class PowerMatcher {
   std::size_t energy_optimal_level(const ActiveTask& task,
                                    std::size_t floor) const;
 
-  /// Assign levels to all tasks; see file comment for the algorithm.
-  /// Allocation-free once `scratch` has warmed up.
-  MatchResult match(std::vector<ActiveTask>& tasks, Watts wind_avail,
-                    double now_s, MatchScratch& scratch) const;
-
-  /// Convenience overload with throwaway scratch (tests, one-off callers).
-  MatchResult match(std::vector<ActiveTask>& tasks, Watts wind_avail,
-                    double now_s) const;
-
-  /// SoA full solve over MatcherColumns rows: the same two phases as
-  /// `match`, with the floor scan batched through the vectorized kernel
-  /// and the energy argmin collapsed to the precomputed best_from table.
+  /// SoA full solve over MatcherColumns rows: the two phases of the file
+  /// comment (as `match_reference` runs them), with the floor scan batched
+  /// through the vectorized kernel and the energy argmin collapsed to the
+  /// precomputed best_from table.
   /// Rows must be in running-list order (ordered FP sums and equal-saving
   /// tiebreaks; see matcher_columns.hpp). Fills cols.floor/cols.level.
   /// When `inc` is non-null the greedy trajectory is cached there for
@@ -173,22 +158,16 @@ class PowerMatcher {
                          double now_s, MatchScratch& scratch,
                          IncrementalMatchState& inc, MatchResult& out) const;
 
-  /// Retained pre-optimization implementation (priority_queue, O(procs)
-  /// power sums). Reference for the scheduler-equivalence suite; not a hot
+  /// The oracle: assigns every task's level (see file comment for the
+  /// algorithm) with a priority_queue and O(procs) power sums. Reference
+  /// for the scheduler-equivalence suite and the unit tests; not a hot
   /// path.
   MatchResult match_reference(std::vector<ActiveTask>& tasks,
                               Watts wind_avail, double now_s) const;
 
-  /// IT power of one task at one level: `power_by_level` lookup when the
-  /// task carries a table, else the O(procs) sum.
-  Watts task_power(const ActiveTask& task, std::size_t level) const {
-    if (task.power_by_level != nullptr)
-      return Watts{task.power_by_level[level]};
-    return task_power_reference(task, level);
-  }
-
-  /// The original O(procs) power sum over the Knowledge view.
-  Watts task_power_reference(const ActiveTask& task, std::size_t level) const;
+  /// IT power of one task at one level: the sum over its processors in
+  /// the Knowledge view.
+  Watts task_power(const ActiveTask& task, std::size_t level) const;
 
   /// Eq-3 slowdown of a task at a level.
   double slowdown(const ActiveTask& task, std::size_t level) const;

@@ -7,19 +7,10 @@
 //  * energy_row  -- elementwise power[l] * slowdown[l], feeding the
 //    energy-optimal-per-floor suffix scan (best_from_fill).
 //
-// Dispatch policy: compile-time only. The portable `*_scalar` kernels are
-// the default; `-DISCOPE_SIMD=ON` swaps in explicit AVX2 kernels
-// (soa_kernels.cpp, built `-mavx2 -ffp-contract=off`). There is no runtime
-// CPUID probe: a binary either always takes the SIMD path or never does,
-// so a run's arithmetic is a property of the build, not the host.
-//
-// Bit-identity across the two paths is by construction, not by tolerance:
-// both kernels are pure independent multiply + ordered-compare per lane --
-// no reassociated sums, no FMA contraction (the SIMD TU pins
-// -ffp-contract=off, and neither path uses a fused intrinsic) -- so every
-// lane computes the exact scalar double result and the first-match index
-// is the scalar one. tests/test_match_equivalence.cpp holds both builds to
-// the same bit-exact schedules.
+// Both are plain scalar loops: pure independent multiply + ordered
+// compare per level, no reassociated sums, so the results are the exact
+// scalar double values the matcher's reference path computes. There is
+// no SIMD build (DESIGN.md Sec. 14).
 #pragma once
 
 #include <cstddef>
@@ -30,9 +21,8 @@ namespace iscope::soa {
 /// First level whose slowed-down remaining work still meets the slack;
 /// top level (levels - 1) when even that misses. Exact port of
 /// PowerMatcher::min_feasible_level against a precomputed slowdown row.
-inline std::size_t floor_scan_scalar(const double* slowdown_row,
-                                     std::size_t levels, double remaining,
-                                     double slack) {
+inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
+                              double remaining, double slack) {
   for (std::size_t l = 0; l < levels; ++l) {
     if (remaining * slowdown_row[l] <= slack) return l;
   }
@@ -40,38 +30,11 @@ inline std::size_t floor_scan_scalar(const double* slowdown_row,
 }
 
 /// Elementwise energy-to-finish per level: out[l] = power[l] * slowdown[l].
-inline void energy_row_scalar(const double* power_row,
-                              const double* slowdown_row, std::size_t levels,
-                              double* out) {
+inline void energy_row(const double* power_row, const double* slowdown_row,
+                       std::size_t levels, double* out) {
   for (std::size_t l = 0; l < levels; ++l)
     out[l] = power_row[l] * slowdown_row[l];
 }
-
-#if defined(ISCOPE_SIMD)
-// Explicit width-4/8 AVX2 kernels (soa_kernels.cpp).
-std::size_t floor_scan_simd(const double* slowdown_row, std::size_t levels,
-                            double remaining, double slack);
-void energy_row_simd(const double* power_row, const double* slowdown_row,
-                     std::size_t levels, double* out);
-
-inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
-                              double remaining, double slack) {
-  return floor_scan_simd(slowdown_row, levels, remaining, slack);
-}
-inline void energy_row(const double* power_row, const double* slowdown_row,
-                       std::size_t levels, double* out) {
-  energy_row_simd(power_row, slowdown_row, levels, out);
-}
-#else
-inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
-                              double remaining, double slack) {
-  return floor_scan_scalar(slowdown_row, levels, remaining, slack);
-}
-inline void energy_row(const double* power_row, const double* slowdown_row,
-                       std::size_t levels, double* out) {
-  energy_row_scalar(power_row, slowdown_row, levels, out);
-}
-#endif
 
 /// Batched deadline-floor scan over all rows: the hot per-rematch kernel.
 /// `slowdown` is row-major [rows * levels]; slack is deadline[r] - now_s.

@@ -1,6 +1,5 @@
 #include "service/checkpoint.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -519,122 +518,27 @@ void CheckpointAccess::load(DatacenterSim& s, serial::Reader& r) {
 
   // ---- derived-state rebuild --------------------------------------------
 
-  // Quarantine mirrors failed_ exactly (fail_proc quarantines, repair_proc
-  // releases), so replaying it restores the Knowledge view; the generation
-  // after replay becomes the one the rebuilt power tables match. (The saved
-  // run's knowledge_gen_ may have *lagged* its view when no rematch ran
-  // after a quarantine -- unobservable, because stale power rows are only
-  // ever read after the generation-refresh at the top of rematch(), which
-  // rewrites them with exactly the values rebuilt here.)
-  if (s.faults_active_) {
-    if (s.knowledge_mut_ == nullptr)
-      throw CheckpointError(
-          "checkpoint: fault state needs the mutable-Knowledge constructor");
-    s.knowledge_mut_->clear_quarantine();
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (s.failed_[p] != 0) s.knowledge_mut_->quarantine(p);
-  }
-  s.knowledge_gen_ = s.knowledge_->generation();
-
-  // Thermal + sleep derived state (mirrors the prepare() staging block;
-  // load skips prepare, so it must rebuild the same pure functions of the
-  // config). ScanTherm's order must be installed before the rank tables
-  // below derive from the policy.
-  s.sleep_active_ = s.config_.sleep.enabled();
-  s.extras_active_ = s.config_.thermal.enabled || s.sleep_active_;
-  if (s.config_.thermal.enabled && !s.thermal_external_ &&
-      s.thermal_model_ == nullptr) {
-    const std::size_t per_rack = s.config_.topology.cpus_per_rack;
-    const std::size_t racks = (nprocs + per_rack - 1) / per_rack;
-    s.thermal_model_ = std::make_unique<ThermalModel>(s.config_.thermal,
-                                                      s.config_.topology,
-                                                      racks);
-  }
-  if (s.policy_.rule() == PlacementRule::kTherm && s.config_.thermal.enabled &&
-      !s.therm_order_installed_ && s.thermal_model_ != nullptr)
-    s.install_thermal_order(s.thermal_model_->matrix());
-  if (s.sleep_active_ && s.sleep_stock_w_.size() != nprocs) {
-    const std::size_t top = levels - 1;
-    s.sleep_stock_w_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      s.sleep_stock_w_[p] =
-          s.knowledge_->cluster()
-              .power(s.knowledge_->global_proc(p), top,
-                     Volts{s.knowledge_->cluster().levels().vdd_nom[top]})
-              .watts();
-  }
-
-  // Placement bookkeeping flags are a pure function of config + rule
-  // (mirrors prepare()).
-  s.fast_placement_ = !s.config_.use_reference_matcher &&
-                      s.policy_.rule() != PlacementRule::kRandom;
-  s.maintain_idle_sorted_ = !s.fast_placement_;
-  s.maintain_idle_by_busy_ =
-      s.fast_placement_ && s.policy_.rule() == PlacementRule::kFair;
-  s.idle_sorted_.clear();
-  s.idle_by_busy_.clear();
-  if (s.maintain_idle_sorted_) {
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (s.idle_flags_[p] != 0) s.idle_sorted_.push_back(p);
-  }
-  if (s.maintain_idle_by_busy_) {
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (s.idle_flags_[p] != 0) s.idle_by_busy_.push_back(p);
-    const double* busy = s.busy_time_s_.data();
-    std::sort(s.idle_by_busy_.begin(), s.idle_by_busy_.end(),
-              [busy](std::size_t a, std::size_t b) {
-                if (busy[a] != busy[b]) return busy[a] < busy[b];
-                return a < b;
-              });
-  }
-  s.rank_of_proc_.clear();
-  s.idle_rank_bits_.clear();
-  if (s.fast_placement_) {
-    s.rank_of_proc_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      s.rank_of_proc_[p] = s.policy_.efficiency_rank(p);
-    s.idle_rank_bits_.assign((nprocs + 63) / 64, 0);
-    for (std::size_t p = 0; p < nprocs; ++p) {
-      if (s.idle_flags_[p] == 0) continue;
-      const std::size_t rank = s.rank_of_proc_[p];
-      s.idle_rank_bits_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
-    }
-  }
-  s.pick_scratch_.clear();
-  s.pick_scratch_.reserve(nprocs);
-  s.idle_scratch_.clear();
-  s.views_.clear();
-  s.views_.reserve(nprocs);
-  s.match_scratch_.floor.reserve(nprocs);
-  s.match_scratch_.heap.reserve(nprocs);
-
-  // Per-task power tables for the running set, then the SoA columns in
-  // running-list order (the matcher's sums are order-sensitive). The
-  // incremental cache starts invalid: the next rematch does a full solve,
-  // which is bit-identical to the incremental replay it displaces.
-  s.power_table_.assign(s.tasks_.size() * levels, 0.0);
-  s.cols_.reset(levels, nprocs);
+  // Validate what the shared builder trusts: the fault state needs a
+  // Knowledge it can quarantine, and the running list must be an acyclic
+  // chain of exactly run_count_ running tasks.
+  if (s.faults_active_ && s.knowledge_mut_ == nullptr)
+    throw CheckpointError(
+        "checkpoint: fault state needs the mutable-Knowledge constructor");
   std::size_t walked = 0;
   for (std::size_t idx = s.run_head_; idx != kNone;
        idx = s.tasks_[idx].run_next) {
     if (++walked > s.tasks_.size())
       throw CheckpointError("checkpoint: running list is cyclic");
-    DatacenterSim::SimTask& t = s.tasks_[idx];
-    if (t.state != DatacenterSim::TaskState::kRunning)
+    if (s.tasks_[idx].state != DatacenterSim::TaskState::kRunning)
       throw CheckpointError("checkpoint: run list holds a non-running task");
-    s.fill_power_table(idx);
-    if (!s.config_.use_reference_matcher) {
-      t.col = s.cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-      s.cols_.fill_row(t.col, t.spec.gamma, s.slowdown_ratio_.data(),
-                       s.power_table_.data() + idx * levels);
-      s.cols_.level[t.col] = t.level;
-    }
   }
   if (walked != s.run_count_)
     throw CheckpointError("checkpoint: run-list walk does not match count");
-  s.inc_.invalidate();
-  s.inc_.log.reserve(nprocs * levels);
-  s.inc_.heap.reserve(nprocs);
+  // The saved run's knowledge_gen_ may have *lagged* its view when no
+  // rematch ran after a quarantine -- unobservable, because stale power
+  // rows are only ever read after the generation-refresh at the top of
+  // rematch(), which rewrites them with exactly the values rebuilt here.
+  s.rebuild_derived_state();
 
   // Rebuild the event heap last: handlers index into the state above. The
   // heap layout is restored verbatim (no re-heapify), so the resumed pop

@@ -1171,14 +1171,9 @@ SimResult DatacenterSim::run(std::vector<Task> tasks,
   return finish();
 }
 
-void DatacenterSim::prepare(std::vector<Task> tasks,
-                            const std::vector<ProfilingWindow>& profiling) {
-  validate_tasks(tasks);
+void DatacenterSim::rebuild_derived_state() {
   const std::size_t nprocs = knowledge_->procs();
-  for (const Task& t : tasks)
-    ISCOPE_CHECK_ARG(t.cpus <= nprocs,
-                     "DatacenterSim: task wider than the cluster");
-  sort_by_submit(tasks);
+  const std::size_t levels = knowledge_->levels();
 
   // Thermal/sleep staging. The model is built once (flat runs only; a
   // shard's thermal_external_ flag is set by the coordinator before
@@ -1197,9 +1192,116 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   if (policy_.rule() == PlacementRule::kTherm && config_.thermal.enabled &&
       !therm_order_installed_ && thermal_model_ != nullptr)
     install_thermal_order(thermal_model_->matrix());
+  if (sleep_active_) {
+    const std::size_t top = levels - 1;
+    sleep_stock_w_.resize(nprocs);
+    for (std::size_t p = 0; p < nprocs; ++p)
+      sleep_stock_w_[p] =
+          knowledge_->cluster()
+              .power(knowledge_->global_proc(p), top,
+                     Volts{knowledge_->cluster().levels().vdd_nom[top]})
+              .raw();
+  }
 
-  // Reset state. clear() (not reassignment) keeps warmed-up capacities, so
-  // a reused simulator reaches steady state with no further allocations.
+  // Quarantine mirrors failed_ exactly (fail_proc quarantines, repair_proc
+  // releases); the generation after the replay is the one the power
+  // tables below match.
+  if (faults_active_) {
+    ISCOPE_CHECK(knowledge_mut_ != nullptr,
+                 "DatacenterSim: fault state without a mutable Knowledge");
+    knowledge_mut_->clear_quarantine();
+    for (std::size_t p = 0; p < nprocs; ++p)
+      if (failed_[p] != 0) knowledge_mut_->quarantine(p);
+  }
+  knowledge_gen_ = knowledge_->generation();
+
+  // Idle bookkeeping: flags + count are primary state; the ordered lists
+  // and the rank bitset exist only where a consumer needs them (see the
+  // member comments) and are rebuilt from the flags.
+  fast_placement_ = !config_.use_reference_matcher &&
+                    policy_.rule() != PlacementRule::kRandom;
+  maintain_idle_sorted_ = !fast_placement_;
+  maintain_idle_by_busy_ =
+      fast_placement_ && policy_.rule() == PlacementRule::kFair;
+  idle_sorted_.clear();
+  idle_by_busy_.clear();
+  if (maintain_idle_sorted_) {
+    for (std::size_t p = 0; p < nprocs; ++p)
+      if (idle_flags_[p] != 0) idle_sorted_.push_back(p);
+  }
+  if (maintain_idle_by_busy_) {
+    for (std::size_t p = 0; p < nprocs; ++p)
+      if (idle_flags_[p] != 0) idle_by_busy_.push_back(p);
+    const double* busy = busy_time_s_.data();
+    std::sort(idle_by_busy_.begin(), idle_by_busy_.end(),
+              [busy](std::size_t a, std::size_t b) {
+                if (busy[a] != busy[b]) return busy[a] < busy[b];
+                return a < b;
+              });
+  }
+  rank_of_proc_.clear();
+  idle_rank_bits_.clear();
+  if (fast_placement_) {
+    // Bits past the last rank stay clear (choose_soa trusts them).
+    rank_of_proc_.resize(nprocs);
+    for (std::size_t p = 0; p < nprocs; ++p)
+      rank_of_proc_[p] = policy_.efficiency_rank(p);
+    idle_rank_bits_.assign((nprocs + 63) / 64, 0);
+    for (std::size_t p = 0; p < nprocs; ++p) {
+      if (idle_flags_[p] == 0) continue;
+      const std::size_t rank = rank_of_proc_[p];
+      idle_rank_bits_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
+    }
+  }
+
+  // Scratch, reserved to its true high-water marks: at most nprocs tasks
+  // run at once (every task needs >= 1 CPU), and the trajectory log can
+  // hold every task stepping through every level, so steady-state
+  // rematches stay allocation-free.
+  pick_scratch_.clear();
+  pick_scratch_.reserve(nprocs);
+  idle_scratch_.clear();
+  views_.clear();
+  views_.reserve(nprocs);
+  match_scratch_.floor.reserve(nprocs);
+  match_scratch_.heap.reserve(nprocs);
+
+  // Per-task power tables for the running set, then the SoA columns in
+  // running-list order (the matcher's sums are order-sensitive). The
+  // incremental cache starts invalid: the next rematch does a full solve,
+  // which is bit-identical to the incremental replay it displaces.
+  power_table_.assign(tasks_.size() * levels, 0.0);
+  cols_.reset(levels, nprocs);
+  for (std::size_t idx = run_head_; idx != kNone;
+       idx = tasks_[idx].run_next) {
+    fill_power_table(idx);
+    if (config_.use_reference_matcher) continue;
+    SimTask& t = tasks_[idx];
+    t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
+    cols_.fill_row(t.col, t.spec.gamma, slowdown_ratio_.data(),
+                   power_table_.data() + idx * levels);
+    cols_.level[t.col] = t.level;
+  }
+  inc_.invalidate();
+  inc_.log.reserve(nprocs * levels);
+  inc_.heap.reserve(nprocs);
+}
+
+void DatacenterSim::prepare(std::vector<Task> tasks,
+                            const std::vector<ProfilingWindow>& profiling) {
+  validate_tasks(tasks);
+  const std::size_t nprocs = knowledge_->procs();
+  for (const Task& t : tasks)
+    ISCOPE_CHECK_ARG(t.cpus <= nprocs,
+                     "DatacenterSim: task wider than the cluster");
+  ISCOPE_CHECK_ARG(!faults_active_ || knowledge_mut_ != nullptr,
+                   "DatacenterSim: a fault plan with CPU faults needs the "
+                   "mutable-Knowledge constructor (quarantine)");
+  sort_by_submit(tasks);
+
+  // Reset the primary state. clear() (not reassignment) keeps warmed-up
+  // capacities, so a reused simulator reaches steady state with no
+  // further allocations.
   queue_.clear();
   queue_.reserve(tasks.size() + profiling.size() + 8);
   meter_.reset();
@@ -1219,62 +1321,11 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   waiting_cpus_ = 0;
   proc_running_.assign(nprocs, kNone);
   busy_time_s_.assign(nprocs, 0.0);
-  // Idle bookkeeping: flags + count always; the ordered lists only where
-  // a consumer needs them (see the member comments).
-  fast_placement_ = !config_.use_reference_matcher &&
-                    policy_.rule() != PlacementRule::kRandom;
-  maintain_idle_sorted_ = !fast_placement_;
-  maintain_idle_by_busy_ =
-      fast_placement_ && policy_.rule() == PlacementRule::kFair;
   idle_flags_.assign(nprocs, 1);
   idle_count_ = nprocs;
-  if (maintain_idle_sorted_) {
-    idle_sorted_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p) idle_sorted_[p] = p;
-  } else {
-    idle_sorted_.clear();
-  }
-  if (maintain_idle_by_busy_) {
-    // All busy times are zero, so (busy, id) order is id order.
-    idle_by_busy_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p) idle_by_busy_[p] = p;
-  } else {
-    idle_by_busy_.clear();
-  }
-  if (fast_placement_) {
-    // Every processor starts idle: all nprocs rank bits set, the tail of
-    // the last word clear (choose_soa trusts unset bits past the end).
-    rank_of_proc_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      rank_of_proc_[p] = policy_.efficiency_rank(p);
-    const std::size_t words = (nprocs + 63) / 64;
-    idle_rank_bits_.assign(words, ~std::uint64_t{0});
-    if (nprocs % 64 != 0)
-      idle_rank_bits_.back() = (std::uint64_t{1} << (nprocs % 64)) - 1;
-  } else {
-    idle_rank_bits_.clear();
-    rank_of_proc_.clear();
-  }
-  pick_scratch_.clear();
-  pick_scratch_.reserve(nprocs);
   run_head_ = kNone;
   run_tail_ = kNone;
   run_count_ = 0;
-  // At most nprocs tasks run at once (every task needs >= 1 CPU), so these
-  // reservations are the true high-water marks.
-  power_table_.assign(tasks_.size() * knowledge_->levels(), 0.0);
-  knowledge_gen_ = knowledge_->generation();
-  views_.clear();
-  views_.reserve(nprocs);
-  match_scratch_.floor.reserve(nprocs);
-  match_scratch_.heap.reserve(nprocs);
-  // SoA columns + incremental cache: reserved to their high-water marks
-  // (at most nprocs rows; the trajectory log can hold every task stepping
-  // through every level), so steady-state rematches stay allocation-free.
-  cols_.reset(knowledge_->levels(), nprocs);
-  inc_.invalidate();
-  inc_.log.reserve(nprocs * knowledge_->levels());
-  inc_.heap.reserve(nprocs);
   demand_ = Watts{};
   last_accrual_s_ = 0.0;
   segment_wind_ = supply_->wind_available(Seconds{});
@@ -1301,19 +1352,6 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   misprofile_armed_.assign(nprocs, 0);
   failed_count_ = 0;
   fault_counters_ = FaultCounters{};
-  if (faults_active_) {
-    ISCOPE_CHECK_ARG(knowledge_mut_ != nullptr,
-                     "DatacenterSim: a fault plan with CPU faults needs the "
-                     "mutable-Knowledge constructor (quarantine)");
-    knowledge_mut_->clear_quarantine();
-    knowledge_gen_ = knowledge_->generation();
-    // A latent mis-profile only bites a chip actually running at its own
-    // scanned point; under the Bin view the plan's mis-profiles are inert.
-    for (std::size_t p = 0; p < nprocs; ++p)
-      misprofile_armed_[p] = plan_->misprofiled(p) && knowledge_->scanned(p);
-    schedule_fault_event(0);
-  }
-
   // Thermal & sleep state. cop/supply start at the idle-facility point
   // (no rack rise => the CRAC runs at its warmest, most efficient supply).
   cop_now_ = crac_cop(config_.thermal.max_supply_c);
@@ -1334,15 +1372,17 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   sleeping_count_ = 0;
   sleep_enters_ = 0;
   sleep_wakes_ = 0;
-  if (sleep_active_) {
-    const std::size_t top = knowledge_->levels() - 1;
-    sleep_stock_w_.resize(nprocs);
+
+  rebuild_derived_state();
+
+  if (faults_active_) {
+    // A latent mis-profile only bites a chip actually running at its own
+    // scanned point; under the Bin view the plan's mis-profiles are inert.
     for (std::size_t p = 0; p < nprocs; ++p)
-      sleep_stock_w_[p] =
-          knowledge_->cluster()
-              .power(knowledge_->global_proc(p), top,
-                     Volts{knowledge_->cluster().levels().vdd_nom[top]})
-              .raw();
+      misprofile_armed_[p] = plan_->misprofiled(p) && knowledge_->scanned(p);
+    schedule_fault_event(0);
+  }
+  if (sleep_active_) {
     // The whole facility starts idle: same entry path as a runtime idle
     // insert (timeout descents get scheduled, immediate goes deep now).
     for (std::size_t p = 0; p < nprocs; ++p) sleep_on_idle(p);

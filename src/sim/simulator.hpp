@@ -385,6 +385,15 @@ class DatacenterSim {
   void cols_remove(std::size_t idx);
   /// Fill the task's row of the per-level power table from its processors.
   void fill_power_table(std::size_t idx);
+  /// Rebuild every member that is a pure function of the config and the
+  /// primary state (idle_flags_, busy_time_s_, failed_, the running list):
+  /// the thermal model and ScanTherm order, sleep stock powers, Knowledge
+  /// quarantine, placement flags, idle lists and rank bits, power tables
+  /// and SoA rows of the running tasks, and the scratch reservations.
+  /// prepare() calls it after resetting the primary state; checkpoint load
+  /// calls it after decoding and validating the saved state, so a resumed
+  /// run sees exactly the derived state the saved run held.
+  void rebuild_derived_state();
   /// Maintain the sorted idle-processor list at its mutation sites.
   void idle_insert(std::size_t p);
   void idle_remove(std::size_t p);

@@ -215,8 +215,14 @@ TEST(Checkpoint, AllSchemesMidRun) {
   const Scenario sc(24, 11);
   const std::vector<Task> tasks = sc.make_tasks(40, 6, 21);
   const HybridSupply supply = sc.make_supply(31);
-  for (const Scheme scheme : kAllSchemes)
-    sc.check_roundtrip(scheme, tasks, supply, base_config(), 5000.0);
+  // The reference matcher keeps no SoA rows, so restore's derived-state
+  // rebuild takes its column-free branch.
+  for (const bool reference : {false, true}) {
+    SimConfig cfg = base_config();
+    cfg.use_reference_matcher = reference;
+    for (const Scheme scheme : kAllSchemes)
+      sc.check_roundtrip(scheme, tasks, supply, cfg, 5000.0);
+  }
 }
 
 TEST(Checkpoint, WithBattery) {

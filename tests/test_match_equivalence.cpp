@@ -356,7 +356,8 @@ TEST(IncrementalIdentity, TwoShards) {
 // count, and every per-row level, to the bit. The walk also perturbs
 // task progress and the clock between epochs; when that moves a deadline
 // floor the incremental path must *refuse* (return false) rather than
-// replay a stale trajectory.
+// replay a stale trajectory. The full solve must in turn equal the
+// match_reference oracle run over an ActiveTask mirror of the rows.
 
 TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
   ClusterConfig ccfg;
@@ -380,6 +381,9 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
         static_cast<std::size_t>(rng.uniform_int(1, 40));
     MatcherColumns cols;
     cols.reset(levels, rows);
+    // The oracle's mirror of the population: the same processors,
+    // remaining work, deadline and gamma per row.
+    std::vector<ActiveTask> tasks(rows);
     std::vector<double> power_row(levels);
     double now = 0.0;
     std::size_t next_proc = 0;
@@ -387,16 +391,21 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
       const double remaining = rng.uniform(50.0, 5000.0);
       const double deadline = remaining * rng.uniform(1.2, 12.0);
       cols.append(r, remaining, deadline);
+      for (int k = 0; k < 4; ++k)
+        tasks[r].procs.push_back((next_proc + static_cast<std::size_t>(k)) %
+                                 cluster.size());
       for (std::size_t l = 0; l < levels; ++l) {
         Watts p;
-        for (int k = 0; k < 4; ++k)
-          p += knowledge.power((next_proc + static_cast<std::size_t>(k)) %
-                                   cluster.size(),
-                               l);
+        for (const std::size_t id : tasks[r].procs)
+          p += knowledge.power(id, l);
         power_row[l] = p.raw();
       }
       next_proc += 4;
-      cols.fill_row(r, rng.uniform(0.3, 1.0), ratio.data(), power_row.data());
+      const double gamma = rng.uniform(0.3, 1.0);
+      cols.fill_row(r, gamma, ratio.data(), power_row.data());
+      tasks[r].remaining_work_s = remaining;
+      tasks[r].deadline_s = deadline;
+      tasks[r].gamma = gamma;
     }
 
     MatchScratch scratch;
@@ -414,9 +423,11 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
       // refusal, never a stale replay.
       if (rng.uniform(0.0, 1.0) < 0.25) {
         now += rng.uniform(0.0, 300.0);
-        for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t r = 0; r < rows; ++r) {
           cols.remaining[r] =
               std::max(0.0, cols.remaining[r] - rng.uniform(0.0, 100.0));
+          tasks[r].remaining_work_s = cols.remaining[r];
+        }
       }
       const Watts wind{rng.uniform(0.0, 1.3 * top_demand)};
       MatcherColumns fresh = cols;
@@ -435,6 +446,16 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
       ASSERT_EQ(out.steps, full.steps) << "step " << step;
       for (std::size_t r = 0; r < rows; ++r)
         ASSERT_EQ(cols.level[r], fresh.level[r])
+            << "step " << step << " row " << r;
+
+      // Third leg: the oracle over the ActiveTask mirror.
+      std::vector<ActiveTask> ref = tasks;
+      const MatchResult oracle = matcher.match_reference(ref, wind, now);
+      ASSERT_EQ(oracle.compute.raw(), full.compute.raw()) << "step " << step;
+      ASSERT_EQ(oracle.demand.raw(), full.demand.raw()) << "step " << step;
+      ASSERT_EQ(oracle.steps, full.steps) << "step " << step;
+      for (std::size_t r = 0; r < rows; ++r)
+        ASSERT_EQ(ref[r].level, fresh.level[r])
             << "step " << step << " row " << r;
     }
   }

@@ -107,7 +107,7 @@ TEST(EnergyOptimal, IoBoundPrefersLowerFrequency) {
 TEST(Match, EmptyTaskListIsZero) {
   Fixture f;
   std::vector<ActiveTask> tasks;
-  const MatchResult r = f.matcher.match(tasks, Watts{1000.0}, 0.0);
+  const MatchResult r = f.matcher.match_reference(tasks, Watts{1000.0}, 0.0);
   EXPECT_DOUBLE_EQ(r.demand.watts(), 0.0);
   EXPECT_EQ(r.steps, 0u);
 }
@@ -115,7 +115,7 @@ TEST(Match, EmptyTaskListIsZero) {
 TEST(Match, NoWindRunsEnergyOptimalBaseline) {
   Fixture f;
   std::vector<ActiveTask> tasks = {f.task(), f.task(500.0, 1e9, 0.9, {2, 3})};
-  const MatchResult r = f.matcher.match(tasks, Watts{0.0}, 0.0);
+  const MatchResult r = f.matcher.match_reference(tasks, Watts{0.0}, 0.0);
   EXPECT_EQ(r.steps, 0u);
   for (const auto& t : tasks) {
     const std::size_t expect = f.matcher.energy_optimal_level(
@@ -127,7 +127,7 @@ TEST(Match, NoWindRunsEnergyOptimalBaseline) {
 TEST(Match, AbundantWindKeepsBaseline) {
   Fixture f;
   std::vector<ActiveTask> tasks = {f.task()};
-  const MatchResult r = f.matcher.match(tasks, Watts{1e9}, 0.0);
+  const MatchResult r = f.matcher.match_reference(tasks, Watts{1e9}, 0.0);
   EXPECT_EQ(r.steps, 0u);
   EXPECT_LE(r.demand.watts(), 1e9);
 }
@@ -141,7 +141,8 @@ TEST(Match, MidWindStepsDownToFit) {
                             static_cast<std::size_t>(2 * i + 1)}));
   // Baseline demand:
   std::vector<ActiveTask> probe = tasks;
-  const double baseline = f.matcher.match(probe, Watts{0.0}, 0.0).demand.watts();
+  const double baseline =
+      f.matcher.match_reference(probe, Watts{0.0}, 0.0).demand.watts();
   // All-floor demand:
   std::vector<ActiveTask> floors = tasks;
   double floor_w = 0.0;
@@ -150,7 +151,7 @@ TEST(Match, MidWindStepsDownToFit) {
   floor_w *= f.matcher.cooling_factor();
   // A budget between floor and baseline is reachable by stepping down.
   const double budget = 0.5 * (floor_w + baseline);
-  const MatchResult r = f.matcher.match(tasks, Watts{budget}, 0.0);
+  const MatchResult r = f.matcher.match_reference(tasks, Watts{budget}, 0.0);
   EXPECT_GT(r.steps, 0u);
   EXPECT_LE(r.demand.watts(), budget + 1e-9);
 }
@@ -161,9 +162,11 @@ TEST(Match, UnreachableWindSkipsStretching) {
   // Sec. V-C refinement).
   Fixture f;
   std::vector<ActiveTask> tasks = {f.task(), f.task(800.0, 1e9, 1.0, {4, 5})};
-  const MatchResult no_wind = f.matcher.match(tasks, Watts{0.0}, 0.0);
+  const MatchResult no_wind =
+      f.matcher.match_reference(tasks, Watts{0.0}, 0.0);
   std::vector<ActiveTask> again = {f.task(), f.task(800.0, 1e9, 1.0, {4, 5})};
-  const MatchResult tiny_wind = f.matcher.match(again, Watts{1.0}, 0.0);
+  const MatchResult tiny_wind =
+      f.matcher.match_reference(again, Watts{1.0}, 0.0);
   EXPECT_EQ(tiny_wind.steps, 0u);
   EXPECT_DOUBLE_EQ(tiny_wind.demand.watts(), no_wind.demand.watts());
 }
@@ -173,7 +176,7 @@ TEST(Match, DeadlineFloorsAreRespected) {
   // Tight deadline: floor at the top level; wind pressure must not push it
   // below.
   std::vector<ActiveTask> tasks = {f.task(1000.0, 1000.0)};
-  const MatchResult r = f.matcher.match(tasks, Watts{10.0}, 0.0);
+  const MatchResult r = f.matcher.match_reference(tasks, Watts{10.0}, 0.0);
   EXPECT_EQ(tasks[0].level, f.knowledge.levels() - 1);
   EXPECT_GT(r.demand.watts(), 10.0);  // utility will supplement
 }
@@ -181,7 +184,7 @@ TEST(Match, DeadlineFloorsAreRespected) {
 TEST(Match, DemandIncludesCoolingFactor) {
   Fixture f;
   std::vector<ActiveTask> tasks = {f.task()};
-  const MatchResult r = f.matcher.match(tasks, Watts{0.0}, 0.0);
+  const MatchResult r = f.matcher.match_reference(tasks, Watts{0.0}, 0.0);
   EXPECT_NEAR(r.demand.watts(), r.compute.watts() * 1.4, 1e-9);
 }
 
@@ -189,8 +192,8 @@ TEST(Match, Deterministic) {
   Fixture f;
   std::vector<ActiveTask> a = {f.task(), f.task(500.0, 5000.0, 0.7, {2, 3})};
   std::vector<ActiveTask> b = a;
-  const MatchResult ra = f.matcher.match(a, Watts{300.0}, 0.0);
-  const MatchResult rb = f.matcher.match(b, Watts{300.0}, 0.0);
+  const MatchResult ra = f.matcher.match_reference(a, Watts{300.0}, 0.0);
+  const MatchResult rb = f.matcher.match_reference(b, Watts{300.0}, 0.0);
   EXPECT_EQ(ra.demand.watts(), rb.demand.watts());
   EXPECT_EQ(a[0].level, b[0].level);
   EXPECT_EQ(a[1].level, b[1].level);
@@ -211,7 +214,8 @@ TEST(Match, Validation) {
   EXPECT_THROW(PowerMatcher(nullptr, 1.4), InvalidArgument);
   EXPECT_THROW(PowerMatcher(&f.knowledge, 0.9), InvalidArgument);
   std::vector<ActiveTask> tasks = {f.task()};
-  EXPECT_THROW(f.matcher.match(tasks, Watts{-1.0}, 0.0), InvalidArgument);
+  EXPECT_THROW(f.matcher.match_reference(tasks, Watts{-1.0}, 0.0),
+               InvalidArgument);
 }
 
 }  // namespace

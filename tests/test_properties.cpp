@@ -81,7 +81,7 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
   };
 
   auto tasks = make_tasks();
-  const MatchResult r = matcher.match(tasks, Watts{wind_w}, 0.0);
+  const MatchResult r = matcher.match_reference(tasks, Watts{wind_w}, 0.0);
 
   // Levels never violate deadline floors.
   for (const auto& t : tasks)
@@ -89,7 +89,8 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
 
   // More wind never increases demand... (fitting relaxes monotonically)
   auto tasks_more = make_tasks();
-  const MatchResult more = matcher.match(tasks_more, Watts{wind_w * 2.0 + 10.0}, 0.0);
+  const MatchResult more =
+      matcher.match_reference(tasks_more, Watts{wind_w * 2.0 + 10.0}, 0.0);
   EXPECT_GE(more.demand.watts(), r.demand.watts() - 1e-9);
 
   // Demand equals the sum of the assigned task powers times cooling.

@@ -40,6 +40,7 @@ STAGES=(
   "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon"
   "coverage        src/fault + src/sched line-coverage floor (${COVERAGE_MIN}%)"
   "bench-compare   fig8 events/s vs the committed baseline (opt-in: --stage only, wall clocks are machine-relative)"
+  "perfbench       each BENCHMARK.json workload once, outcomes vs perfbench/expected.tsv (opt-in: --stage only)"
 )
 
 usage() {
@@ -80,7 +81,8 @@ want() {
     ubsan|asan|tsan|coverage) [ "$FAST" -eq 0 ] ;;
     # Opt-in only: the committed baseline's wall clocks were taken on one
     # machine, so the threshold gate is meaningful there, noise elsewhere.
-    bench-compare) false ;;
+    # perfbench builds its own Release tree and runs for minutes.
+    bench-compare|perfbench) false ;;
     *) true ;;
   esac
 }
@@ -319,6 +321,29 @@ stage_bench_compare() {
       build-check/bench-compare/BENCH_fig8_energy_cost.current.json
 }
 
+stage_perfbench() {
+  stage "perfbench (each BENCHMARK.json workload once, outcome check)"
+  # perfbench/run.py checks every run's scheduling outcomes against
+  # perfbench/expected.tsv and reports them as "correct" on its last
+  # output line, so a refactor that must keep results bit-identical gets
+  # a one-command drift guard. Timings are not judged here.
+  mkdir -p build-check/perfbench
+  local workloads w log last
+  workloads="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for w in $workloads; do
+    log="build-check/perfbench/$w.log"
+    last="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 \
+                2> "$log" | tail -n 1)" \
+        || { tail -n 20 "$log" >&2; echo "perfbench: $w failed" >&2; exit 1; }
+    python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+        "$last" 2> /dev/null \
+        || { echo "perfbench: $w not correct: $last" >&2; exit 1; }
+    echo "perfbench: $w correct"
+  done
+}
+
 want strict          && stage_strict
 want tests           && stage_tests
 want bench-smoke     && stage_bench_smoke
@@ -333,6 +358,7 @@ want asan            && stage_asan
 want tsan            && stage_tsan
 want coverage        && stage_coverage
 want bench-compare   && stage_bench_compare
+want perfbench       && stage_perfbench
 
 if [ -n "$ONLY_STAGE" ]; then
   stage "stage '$ONLY_STAGE' passed"

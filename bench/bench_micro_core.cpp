@@ -2,6 +2,8 @@
 // ablation of the voltage-extended Eq-1 power model.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "common/rng.hpp"
@@ -27,8 +29,9 @@ void BM_EventQueue(benchmark::State& state) {
     Rng rng(1);
     std::size_t fired = 0;
     for (std::size_t i = 0; i < n; ++i)
-      q.schedule(rng.uniform(0.0, 1e6), [&fired] { ++fired; });
-    q.run();
+      q.schedule(rng.uniform(0.0, 1e6), EventDesc{EventDesc::Kind::kPass});
+    q.run_before(std::numeric_limits<double>::infinity(), SIZE_MAX,
+                 [&fired](const EventDesc&) { ++fired; });
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -96,8 +96,7 @@ void CheckpointAccess::save(const DatacenterSim& s, serial::Writer& w) {
   }
   w.b(s.thermal_external_);
 
-  // Event queue: raw heap-vector order (EventQueue::save_events throws if
-  // any pending event is untagged).
+  // Event queue: raw heap-vector order.
   const std::vector<SavedEvent> events = s.queue_.save_events();
   w.f64(s.queue_.now());
   w.u64(s.queue_.next_seq());
@@ -288,8 +287,8 @@ void CheckpointAccess::load(DatacenterSim& s, serial::Reader& r) {
   }
   check_identity(r.b() == s.thermal_external_, "thermal coordination mode");
 
-  // Stage the event snapshot; the queue is rebuilt last, once the state the
-  // handlers index into is in place.
+  // Stage the event snapshot; the queue is installed last, once the state
+  // its payloads index into is in place.
   const double now = r.f64();
   const std::uint64_t next_seq = r.u64();
   const std::uint64_t high_water = r.u64();
@@ -301,7 +300,8 @@ void CheckpointAccess::load(DatacenterSim& s, serial::Reader& r) {
     e.time = r.f64();
     e.seq = r.u64();
     const std::uint8_t kind = r.u8();
-    if (kind == 0 || kind > static_cast<std::uint8_t>(EventDesc::Kind::kWake))
+    if (kind < static_cast<std::uint8_t>(EventDesc::Kind::kArrival) ||
+        kind > static_cast<std::uint8_t>(EventDesc::Kind::kWake))
       throw CheckpointError("checkpoint: unknown event kind");
     e.desc.kind = static_cast<EventDesc::Kind>(kind);
     e.desc.a = r.u64();
@@ -540,73 +540,42 @@ void CheckpointAccess::load(DatacenterSim& s, serial::Reader& r) {
   // rematch(), which rewrites them with exactly the values rebuilt here.
   s.rebuild_derived_state();
 
-  // Rebuild the event heap last: handlers index into the state above. The
-  // heap layout is restored verbatim (no re-heapify), so the resumed pop
-  // order is the uninterrupted run's.
-  DatacenterSim* sim = &s;
+  // Install the event heap last: its payloads index into the state above,
+  // so every index is checked against that state first. The descriptors
+  // then go in verbatim (no re-heapify), so the resumed pop order is the
+  // uninterrupted run's.
   const std::size_t task_count = s.tasks_.size();
   const std::size_t scan_count = s.scans_.size();
   const std::size_t window_count = s.profiling_.size();
   const std::size_t fault_count = s.plan_->events().size();
-  s.queue_.restore(
-      now, next_seq, static_cast<std::size_t>(high_water), events,
-      [sim, nprocs, task_count, scan_count, window_count,
-       fault_count](const SavedEvent& e) -> EventQueue::Handler {
-        using Kind = EventDesc::Kind;
-        const std::uint64_t a = e.desc.a;
-        const std::uint64_t b = e.desc.b;
-        const double t = e.desc.t;
-        switch (e.desc.kind) {
-          case Kind::kArrival: {
-            const std::size_t i = get_index(a, task_count, "arrival task");
-            return [sim, i] { sim->on_arrival(i); };
-          }
-          case Kind::kPass:
-            return [sim] { sim->schedule_pass(); };
-          case Kind::kCompletion: {
-            const std::size_t i = get_index(a, task_count, "completion task");
-            return [sim, i, b] { sim->on_completion(i, b); };
-          }
-          case Kind::kEpoch:
-            return [sim, t] { sim->on_epoch(t); };
-          case Kind::kSample:
-            return [sim, t] { sim->on_sample(t); };
-          case Kind::kProfilingBegin: {
-            const std::size_t i =
-                get_index(a, window_count, "profiling window");
-            return [sim, i] { sim->begin_profiling_window(i); };
-          }
-          case Kind::kProfilingEnd: {
-            const std::size_t i = get_index(a, scan_count, "scan slot");
-            return [sim, i] { sim->end_profiling_window(i); };
-          }
-          case Kind::kFault: {
-            const std::size_t i = get_index(a, fault_count, "fault cursor");
-            return [sim, i] { sim->on_fault_event(i); };
-          }
-          case Kind::kMisprofileTimer: {
-            const std::size_t p = get_index(a, nprocs, "misprofile proc");
-            return [sim, p, b] { sim->on_misprofile_timer(p, b); };
-          }
-          case Kind::kMisprofileRepair: {
-            const std::size_t p = get_index(a, nprocs, "repair proc");
-            return [sim, p] { sim->repair_proc(p); };
-          }
-          case Kind::kThermal:
-            return [sim, t] { sim->on_thermal(t); };
-          case Kind::kSleepEnter: {
-            const std::size_t p = get_index(a, nprocs, "sleeping proc");
-            return [sim, p, b] { sim->on_sleep_enter(p, b); };
-          }
-          case Kind::kWake: {
-            const std::size_t i = get_index(a, task_count, "waking task");
-            return [sim, i, b] { sim->on_wake(i, b); };
-          }
-          case Kind::kOpaque:
-            break;
-        }
-        throw CheckpointError("checkpoint: unknown event kind");
-      });
+  for (const SavedEvent& e : events) {
+    using Kind = EventDesc::Kind;
+    const auto check = [&e](std::size_t limit, const char* what) {
+      if (e.desc.a >= limit)
+        throw CheckpointError(std::string("checkpoint: ") + what +
+                              " index out of range");
+    };
+    switch (e.desc.kind) {
+      case Kind::kArrival: check(task_count, "arrival task"); break;
+      case Kind::kCompletion: check(task_count, "completion task"); break;
+      case Kind::kWake: check(task_count, "waking task"); break;
+      case Kind::kProfilingBegin:
+        check(window_count, "profiling window");
+        break;
+      case Kind::kProfilingEnd: check(scan_count, "scan slot"); break;
+      case Kind::kFault: check(fault_count, "fault cursor"); break;
+      case Kind::kMisprofileTimer: check(nprocs, "misprofile proc"); break;
+      case Kind::kMisprofileRepair: check(nprocs, "repair proc"); break;
+      case Kind::kSleepEnter: check(nprocs, "sleeping proc"); break;
+      case Kind::kPass:
+      case Kind::kEpoch:
+      case Kind::kSample:
+      case Kind::kThermal:
+        break;
+    }
+  }
+  s.queue_.restore(now, next_seq, static_cast<std::size_t>(high_water),
+                   events);
 }
 
 // ---------------------------------------------------------------------------
@@ -728,18 +697,17 @@ std::vector<std::uint8_t> read_checkpoint(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr)
     throw CheckpointError("checkpoint: cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (end < 0) {
-    std::fclose(f);
-    throw CheckpointError("checkpoint: cannot size " + path);
-  }
-  std::vector<std::uint8_t> blob(static_cast<std::size_t>(end));
-  const std::size_t got = std::fread(blob.data(), 1, blob.size(), f);
+  // Read to EOF rather than sizing with fseek/ftell: on some filesystems
+  // ftell on a directory reports LONG_MAX, and a stream that cannot be
+  // read (a directory, an I/O fault) must fail as a CheckpointError.
+  std::vector<std::uint8_t> blob;
+  std::uint8_t chunk[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
+    blob.insert(blob.end(), chunk, chunk + got);
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
-  if (got != blob.size())
-    throw CheckpointError("checkpoint: short read from " + path);
+  if (failed) throw CheckpointError("checkpoint: cannot read " + path);
   return blob;
 }
 

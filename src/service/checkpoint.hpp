@@ -1,8 +1,10 @@
 // Versioned binary checkpoint of a running simulation (DESIGN.md Sec. 15).
 //
 // A checkpoint captures everything the next event needs and nothing it can
-// recompute: the event heap in raw vector order (restored verbatim -- no
-// re-heapify -- so the resumed pop order is bit-identical), every task's
+// recompute: the event heap's descriptors in raw vector order (restored
+// verbatim once their index payloads are checked against the restored
+// state -- no re-heapify -- so the resumed pop order is bit-identical and
+// DatacenterSim::dispatch runs them like live events), every task's
 // progress, the waiting/running bookkeeping, energy meter + battery
 // accumulators, fault state, and the placement RNG stream. Derived state
 // (SoA matcher columns, idle orderings, rank bitsets, per-task power

@@ -362,10 +362,8 @@ void DatacenterSim::rematch() {
       ++t.version;
       const double slowdown = level_slowdown(t);
       const double completion = now + t.remaining_work_s * slowdown;
-      const std::uint64_t version = t.version;
       queue_.schedule(completion,
-                      EventDesc{EventDesc::Kind::kCompletion, idx, version},
-                      [this, idx, version] { on_completion(idx, version); });
+                      EventDesc{EventDesc::Kind::kCompletion, idx, t.version});
     }
   }
   if (rematch_probe != nullptr) rematch_probe(false);
@@ -381,8 +379,7 @@ void DatacenterSim::on_arrival(std::size_t idx) {
   // Wake up when deadline pressure forces this task onto whatever is idle.
   const double force_at =
       std::max(queue_.now(), latest_start(t) - config_.deadline_patience_s);
-  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass},
-                  [this] { schedule_pass(); });
+  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass});
   schedule_pass();
 }
 
@@ -534,8 +531,7 @@ void DatacenterSim::start_task(std::size_t idx, std::vector<std::size_t> procs) 
     ++sleep_wakes_;
     log_event(TimelineKind::kTaskWaking, t.spec.id, wake_s);
     queue_.schedule(now + wake_s,
-                    EventDesc{EventDesc::Kind::kWake, idx, version},
-                    [this, idx, version] { on_wake(idx, version); });
+                    EventDesc{EventDesc::Kind::kWake, idx, version});
     accrue_to_now();
     recompute_demand();
     return;
@@ -571,8 +567,7 @@ void DatacenterSim::activate_task(std::size_t idx) {
       if (misprofile_armed_[p] == 0) continue;
       const std::uint64_t token = ++misprofile_token_[p];
       queue_.schedule(now + plan_->misprofile_latency_s(p),
-                      EventDesc{EventDesc::Kind::kMisprofileTimer, p, token},
-                      [this, p, token] { on_misprofile_timer(p, token); });
+                      EventDesc{EventDesc::Kind::kMisprofileTimer, p, token});
     }
   }
   fill_power_table(idx);
@@ -657,8 +652,7 @@ void DatacenterSim::begin_profiling_window(std::size_t window_idx) {
     const std::size_t slot = scans_.size();
     scans_.push_back(ActiveScan{std::move(taken), started, true});
     queue_.schedule(started + window.duration_s,
-                    EventDesc{EventDesc::Kind::kProfilingEnd, slot},
-                    [this, slot] { end_profiling_window(slot); });
+                    EventDesc{EventDesc::Kind::kProfilingEnd, slot});
   }
 }
 
@@ -686,8 +680,7 @@ void DatacenterSim::end_profiling_window(std::size_t slot) {
 void DatacenterSim::schedule_fault_event(std::size_t i) {
   if (i >= plan_->events().size()) return;
   const double at = plan_->events()[i].time_s;
-  queue_.schedule(at, EventDesc{EventDesc::Kind::kFault, i},
-                  [this, i] { on_fault_event(i); });
+  queue_.schedule(at, EventDesc{EventDesc::Kind::kFault, i});
 }
 
 void DatacenterSim::on_fault_event(std::size_t i) {
@@ -788,8 +781,7 @@ void DatacenterSim::requeue_task(std::size_t idx) {
   // Same deadline-pressure wakeup an arrival gets (likely already due).
   const double force_at =
       std::max(now, latest_start(t) - config_.deadline_patience_s);
-  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass},
-                  [this] { schedule_pass(); });
+  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass});
 }
 
 void DatacenterSim::on_misprofile_timer(std::size_t p, std::uint64_t token) {
@@ -799,8 +791,8 @@ void DatacenterSim::on_misprofile_timer(std::size_t p, std::uint64_t token) {
   misprofile_armed_[p] = 0;
   fail_proc(p, /*misprofile=*/true);
   const double repair_at = queue_.now() + plan_->misprofile_repair_s(p);
-  queue_.schedule(repair_at, EventDesc{EventDesc::Kind::kMisprofileRepair, p},
-                  [this, p] { repair_proc(p); });
+  queue_.schedule(repair_at,
+                  EventDesc{EventDesc::Kind::kMisprofileRepair, p});
 }
 
 void DatacenterSim::sleep_on_idle(std::size_t p) {
@@ -821,8 +813,7 @@ void DatacenterSim::sleep_on_idle(std::size_t p) {
   if (sc.policy == SleepPolicy::kTimeout) {
     const std::uint64_t token = sleep_token_[p];
     queue_.schedule(queue_.now() + sc.timeout_s,
-                    EventDesc{EventDesc::Kind::kSleepEnter, p, token},
-                    [this, p, token] { on_sleep_enter(p, token); });
+                    EventDesc{EventDesc::Kind::kSleepEnter, p, token});
   }
 }
 
@@ -854,8 +845,7 @@ void DatacenterSim::on_sleep_enter(std::size_t p, std::uint64_t token) {
   recompute_demand();
   if (depth + std::size_t{1} < sc.states.size())
     queue_.schedule(queue_.now() + sc.timeout_s,
-                    EventDesc{EventDesc::Kind::kSleepEnter, p, token},
-                    [this, p, token] { on_sleep_enter(p, token); });
+                    EventDesc{EventDesc::Kind::kSleepEnter, p, token});
 }
 
 void DatacenterSim::recompute_demand() {
@@ -877,8 +867,7 @@ void DatacenterSim::recompute_demand() {
 
 void DatacenterSim::schedule_thermal(double t) {
   thermal_chain_live_ = true;
-  queue_.schedule(t, EventDesc{EventDesc::Kind::kThermal, 0, 0, t},
-                  [this, t] { on_thermal(t); });
+  queue_.schedule(t, EventDesc{EventDesc::Kind::kThermal, 0, 0, t});
 }
 
 void DatacenterSim::on_thermal(double t) {
@@ -994,8 +983,7 @@ void DatacenterSim::install_thermal_order(const RecirculationMatrix& matrix) {
 
 void DatacenterSim::schedule_epoch(double t) {
   epoch_chain_live_ = true;
-  queue_.schedule(t, EventDesc{EventDesc::Kind::kEpoch, 0, 0, t},
-                  [this, t] { on_epoch(t); });
+  queue_.schedule(t, EventDesc{EventDesc::Kind::kEpoch, 0, 0, t});
 }
 
 void DatacenterSim::on_epoch(double t) {
@@ -1013,8 +1001,7 @@ void DatacenterSim::on_epoch(double t) {
 
 void DatacenterSim::schedule_sample(double t) {
   sample_chain_live_ = true;
-  queue_.schedule(t, EventDesc{EventDesc::Kind::kSample, 0, 0, t},
-                  [this, t] { on_sample(t); });
+  queue_.schedule(t, EventDesc{EventDesc::Kind::kSample, 0, 0, t});
 }
 
 void DatacenterSim::on_sample(double t) {
@@ -1391,15 +1378,14 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
 
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const double at = tasks_[i].spec.submit_s;
-    queue_.schedule(at, EventDesc{EventDesc::Kind::kArrival, i},
-                    [this, i] { on_arrival(i); });
+    queue_.schedule(at, EventDesc{EventDesc::Kind::kArrival, i});
   }
   for (std::size_t wi = 0; wi < profiling_.size(); ++wi) {
     const ProfilingWindow& w = profiling_[wi];
     ISCOPE_CHECK_ARG(w.start_s >= 0.0 && w.duration_s > 0.0,
                      "profiling window: bad timing");
-    queue_.schedule(w.start_s, EventDesc{EventDesc::Kind::kProfilingBegin, wi},
-                    [this, wi] { begin_profiling_window(wi); });
+    queue_.schedule(w.start_s,
+                    EventDesc{EventDesc::Kind::kProfilingBegin, wi});
   }
   if (!tasks_.empty() || !profiling_.empty()) {
     schedule_epoch(0.0);
@@ -1429,8 +1415,8 @@ std::size_t DatacenterSim::admit(Task task) {
   tasks_.push_back(std::move(st));
   // Grow the per-task power table; the new row is filled at task start.
   power_table_.resize(tasks_.size() * knowledge_->levels(), 0.0);
-  queue_.schedule(tasks_[i].spec.submit_s, EventDesc{EventDesc::Kind::kArrival, i},
-                  [this, i] { on_arrival(i); });
+  queue_.schedule(tasks_[i].spec.submit_s,
+                  EventDesc{EventDesc::Kind::kArrival, i});
   // A drained run stopped the self-rechaining epoch/sample events; restart
   // them at the next boundary. (From a freshly-prepared empty simulation
   // this schedules the chains from t = 0, exactly where prepare() with a
@@ -1450,9 +1436,30 @@ std::size_t DatacenterSim::admit(Task task) {
   return i;
 }
 
+void DatacenterSim::dispatch(const EventDesc& e) {
+  using Kind = EventDesc::Kind;
+  const auto a = static_cast<std::size_t>(e.a);
+  switch (e.kind) {
+    case Kind::kArrival: on_arrival(a); return;
+    case Kind::kPass: schedule_pass(); return;
+    case Kind::kCompletion: on_completion(a, e.b); return;
+    case Kind::kEpoch: on_epoch(e.t); return;
+    case Kind::kSample: on_sample(e.t); return;
+    case Kind::kProfilingBegin: begin_profiling_window(a); return;
+    case Kind::kProfilingEnd: end_profiling_window(a); return;
+    case Kind::kFault: on_fault_event(a); return;
+    case Kind::kMisprofileTimer: on_misprofile_timer(a, e.b); return;
+    case Kind::kMisprofileRepair: repair_proc(a); return;
+    case Kind::kThermal: on_thermal(e.t); return;
+    case Kind::kSleepEnter: on_sleep_enter(a, e.b); return;
+    case Kind::kWake: on_wake(a, e.b); return;
+  }
+}
+
 std::size_t DatacenterSim::step_until(double t_limit) {
   const std::size_t n =
-      queue_.run_until(t_limit, config_.max_events - events_run_);
+      queue_.run_until(t_limit, config_.max_events - events_run_,
+                       [this](const EventDesc& e) { dispatch(e); });
   events_run_ += n;
   if (events_run_ >= config_.max_events)
     ISCOPE_CHECK(all_done(), "DatacenterSim: event budget exhausted before "
@@ -1478,7 +1485,8 @@ DecisionSnapshot DatacenterSim::decision_snapshot() const {
 
 std::size_t DatacenterSim::advance_before(double t_limit) {
   const std::size_t n =
-      queue_.run_before(t_limit, config_.max_events - events_run_);
+      queue_.run_before(t_limit, config_.max_events - events_run_,
+                        [this](const EventDesc& e) { dispatch(e); });
   events_run_ += n;
   // Legacy run() stops at max_events and fails the all-done check; chunked
   // execution must fail here, or a drained budget would spin the

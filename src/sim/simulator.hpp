@@ -287,6 +287,10 @@ class DatacenterSim {
     std::size_t retries = 0;         ///< fault-forced restarts so far
   };
 
+  /// Run one popped event: the only map from an EventDesc::Kind to its
+  /// handler below. Every schedule site passes a descriptor, and the
+  /// checkpoint codec restores descriptors verbatim.
+  void dispatch(const EventDesc& e);
   void on_arrival(std::size_t idx);
   /// Try to start waiting tasks on idle processors (with backfill past
   /// voluntarily-waiting tasks; a *forced* task that cannot fit blocks the
@@ -310,8 +314,8 @@ class DatacenterSim {
   void on_epoch(double t);
   void on_sample(double t);
   /// Profiling windows live in `profiling_` and active scans in `scans_`
-  /// slots, so the scheduled closures capture only indices -- the shape
-  /// the checkpoint codec can serialize and rebuild.
+  /// slots, so their events carry only indices -- the descriptor payload
+  /// the checkpoint codec serializes.
   void begin_profiling_window(std::size_t window_idx);
   void end_profiling_window(std::size_t slot);
   /// Fault machinery (src/fault/): the plan's crash/repair events run as a
@@ -460,7 +464,7 @@ class DatacenterSim {
   double profiling_proc_seconds_ = 0.0;
   std::size_t profiling_procs_scanned_ = 0;
   std::size_t profiling_procs_skipped_ = 0;
-  /// The run's profiling plan (copied at prepare; scheduled closures refer
+  /// The run's profiling plan (copied at prepare; scheduled events refer
   /// to windows by index).
   std::vector<ProfilingWindow> profiling_;
   /// One slot per scan that ever went live; `live` scans own reserved

@@ -6,21 +6,26 @@
 //    through the sharded coordinator.
 //  * Randomized cut points: 50 seeds checkpoint at an arbitrary epoch of an
 //    arbitrary scheme's run and must still resume bit-identically.
-//  * Rejection: bad magic, version skew, kind mismatch, identity mismatch
-//    and truncation at every prefix length raise CheckpointError -- never a
-//    crash, never a silently wrong simulator.
+//  * Rejection: bad magic, version skew, kind mismatch, identity mismatch,
+//    truncation at every prefix length and out-of-range event payloads
+//    raise CheckpointError -- never a crash, never a silently wrong
+//    simulator.
 //  * Streamed admission: prepare({}) + admit() in submit order == one batch
 //    prepare(tasks) (the daemon's equivalence contract).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "energy/hybrid_supply.hpp"
+#include "fault/fault.hpp"
 #include "profiling/scanner.hpp"
 #include "service/checkpoint.hpp"
 #include "sim/sharded.hpp"
@@ -579,6 +584,110 @@ TEST_F(Rejection, FileRoundtripAndMissingFile) {
   EXPECT_EQ(read_checkpoint(path), blob);
   std::remove(path.c_str());
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
+  // A directory opens but cannot be read: a clean CheckpointError, not a
+  // buffer sized from the directory's nonsense file length.
+  EXPECT_THROW(read_checkpoint(::testing::TempDir()), CheckpointError);
+}
+
+TEST_F(Rejection, EventPayloadOutOfRange) {
+  // Stage a run whose pending heap holds every index-carrying kind the
+  // scenario can reach: arrivals and completions (task index), a pending
+  // and an in-flight profiling window (window index, scan slot), the
+  // fault-plan cursor and sleep descents (processor).
+  cfg = base_config();
+  cfg.sleep.policy = SleepPolicy::kTimeout;
+  cfg.sleep.timeout_s = 120.0;
+  cfg.fault_plan = std::make_shared<const FaultPlan>(FaultPlan::scripted(
+      {FaultEvent{1000.0, FaultKind::kCrash, 5},
+       FaultEvent{2000.0, FaultKind::kRepair, 5},
+       FaultEvent{4000.0, FaultKind::kCrash, 7},
+       FaultEvent{5000.0, FaultKind::kRepair, 7}}));
+  const std::vector<ProfilingWindow> windows = spread_windows(12);
+  k = std::make_unique<Knowledge>(
+      &sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+  sim = std::make_unique<DatacenterSim>(
+      k.get(), scheme_rule(Scheme::kScanFair), &supply, cfg);
+  sim->prepare(sc.make_tasks(30, 1, 30), windows);
+  sim->step_until(3400.0);  // inside the second window
+  const std::vector<std::uint8_t> blob = checkpoint_bytes(*sim);
+
+  // Bounds, from the public surface: every admitted task, the plan's
+  // windows, one scan slot per window that isolated a processor, the
+  // scripted fault events, the facility's processors.
+  using Kind = EventDesc::Kind;
+  std::size_t scan_slots = 0;
+  for (const TimelineEvent& e : sim->timeline())
+    if (e.kind == TimelineKind::kProfilingBegin && e.value > 0.0) ++scan_slots;
+  const auto bound = [&](Kind kind) -> std::uint64_t {
+    switch (kind) {
+      case Kind::kArrival:
+      case Kind::kCompletion:
+      case Kind::kWake:
+        return sim->decision_snapshot().tasks_admitted;
+      case Kind::kProfilingBegin:
+        return windows.size();
+      case Kind::kProfilingEnd:
+        return scan_slots;
+      case Kind::kFault:
+        return cfg.fault_plan->events().size();
+      case Kind::kMisprofileTimer:
+      case Kind::kMisprofileRepair:
+      case Kind::kSleepEnter:
+        return sc.cluster.size();
+      default:
+        return 0;  // no index payload
+    }
+  };
+
+  // Offset of the event section: envelope (magic, version, kind byte),
+  // then the identity block -- 46 bytes of scalar identity, 57 of thermal
+  // config, 17 + 16 per C-state of sleep config, the thermal-external
+  // flag -- then the queue's clock, next sequence number, high-water mark
+  // and event count. Each event is time, seq, kind byte, a, b, t.
+  const auto u64_at = [&blob](std::size_t off) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+      v |= std::uint64_t{blob[off + i]} << (8 * i);
+    return v;
+  };
+  const std::size_t queue_off =
+      9 + 46 + 57 + 17 + 16 * cfg.sleep.states.size() + 1;
+  ASSERT_EQ(std::bit_cast<double>(u64_at(queue_off)), sim->now_s());
+  const std::size_t n_events = u64_at(queue_off + 24);
+  constexpr std::size_t kEventBytes = 8 + 8 + 1 + 8 + 8 + 8;
+  ASSERT_LE(queue_off + 32 + n_events * kEventBytes, blob.size());
+
+  std::set<Kind> tested;
+  for (std::size_t i = 0; i < n_events; ++i) {
+    const std::size_t off = queue_off + 32 + i * kEventBytes;
+    const std::uint8_t raw = blob[off + 16];
+    ASSERT_GE(raw, static_cast<std::uint8_t>(Kind::kArrival));
+    ASSERT_LE(raw, static_cast<std::uint8_t>(Kind::kWake));
+    const auto kind = static_cast<Kind>(raw);
+    const std::uint64_t limit = bound(kind);
+    if (limit == 0 || !tested.insert(kind).second) continue;
+    SCOPED_TRACE("event kind " + std::to_string(raw));
+    ASSERT_LT(u64_at(off + 17), limit);  // the offset lands on a payload
+    // The bound itself, and the all-ones word other index fields use as
+    // their "none" sentinel: no event may carry it.
+    for (const std::uint64_t bad : {limit, ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> mut = blob;
+      for (std::size_t b = 0; b < 8; ++b)
+        mut[off + 17 + b] = static_cast<std::uint8_t>(bad >> (8 * b));
+      expect_reject(mut);
+    }
+  }
+  for (const Kind kind : {Kind::kArrival, Kind::kCompletion,
+                          Kind::kProfilingBegin, Kind::kProfilingEnd,
+                          Kind::kFault, Kind::kSleepEnter})
+    EXPECT_EQ(tested.count(kind), 1u)
+        << "kind " << static_cast<int>(kind) << " not staged";
+
+  // The unmodified blob restores: the rejections above are the payloads'.
+  Knowledge k2(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+  DatacenterSim sim2(&k2, scheme_rule(Scheme::kScanFair), &supply, cfg);
+  sim2.prepare({}, {});
+  EXPECT_NO_THROW(restore_from_bytes(sim2, blob.data(), blob.size()));
 }
 
 }  // namespace

@@ -2,71 +2,81 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace iscope {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A descriptor whose payload `a` tags the event for the recording
+/// dispatchers below (the queue never reads the payload).
+EventDesc tag(std::uint64_t a) { return EventDesc{EventDesc::Kind::kPass, a}; }
+
+/// Drain every pending event, recording each payload tag in pop order.
+std::vector<std::uint64_t> drain(EventQueue& q) {
+  std::vector<std::uint64_t> fired;
+  q.run_before(kInf, SIZE_MAX,
+               [&fired](const EventDesc& e) { fired.push_back(e.a); });
+  return fired;
+}
+
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(3.0, [&] { fired.push_back(3); });
-  q.schedule(1.0, [&] { fired.push_back(1); });
-  q.schedule(2.0, [&] { fired.push_back(2); });
-  q.run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  q.schedule(3.0, tag(3));
+  q.schedule(1.0, tag(1));
+  q.schedule(2.0, tag(2));
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 
 TEST(EventQueue, TiesRunInInsertionOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i)
-    q.schedule(5.0, [&fired, i] { fired.push_back(i); });
-  q.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+  for (std::uint64_t i = 0; i < 10; ++i) q.schedule(5.0, tag(i));
+  const std::vector<std::uint64_t> fired = drain(q);
+  ASSERT_EQ(fired.size(), 10u);
+  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
 
 TEST(EventQueue, HandlersCanScheduleMore) {
   EventQueue q;
   int count = 0;
-  std::function<void()> chain = [&] {
+  q.schedule(0.0, tag(0));
+  q.run_before(kInf, SIZE_MAX, [&](const EventDesc&) {
     ++count;
-    if (count < 5) q.schedule(q.now() + 1.0, chain);
-  };
-  q.schedule(0.0, chain);
-  q.run();
+    if (count < 5) q.schedule(q.now() + 1.0, tag(0));
+  });
   EXPECT_EQ(count, 5);
   EXPECT_DOUBLE_EQ(q.now(), 4.0);
 }
 
 TEST(EventQueue, SchedulingIntoPastThrows) {
   EventQueue q;
-  q.schedule(10.0, [] {});
-  q.step();
-  EXPECT_THROW(q.schedule(5.0, [] {}), InvalidArgument);
+  q.schedule(10.0, tag(0));
+  drain(q);
+  EXPECT_THROW(q.schedule(5.0, tag(0)), InvalidArgument);
   // Same-time scheduling is fine.
-  EXPECT_NO_THROW(q.schedule(10.0, [] {}));
-}
-
-TEST(EventQueue, NullHandlerThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule(1.0, EventQueue::Handler{}), InvalidArgument);
+  EXPECT_NO_THROW(q.schedule(10.0, tag(0)));
 }
 
 TEST(EventQueue, RunRespectsBudget) {
   EventQueue q;
-  for (int i = 0; i < 10; ++i) q.schedule(i, [] {});
-  EXPECT_EQ(q.run(4), 4u);
+  for (int i = 0; i < 10; ++i) q.schedule(i, tag(0));
+  EXPECT_EQ(q.run_before(kInf, 4, [](const EventDesc&) {}), 4u);
   EXPECT_EQ(q.pending(), 6u);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
   std::vector<double> fired;
-  for (double t : {1.0, 2.0, 3.0, 4.0})
-    q.schedule(t, [&fired, &q] { fired.push_back(q.now()); });
-  EXPECT_EQ(q.run_until(2.5), 2u);
+  for (double t : {1.0, 2.0, 3.0, 4.0}) q.schedule(t, tag(0));
+  EXPECT_EQ(q.run_until(2.5, SIZE_MAX,
+                        [&](const EventDesc&) { fired.push_back(q.now()); }),
+            2u);
   EXPECT_EQ(fired.size(), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.5);  // clock advanced to the boundary
   EXPECT_EQ(q.pending(), 2u);
@@ -74,23 +84,23 @@ TEST(EventQueue, RunUntilStopsAtBoundary) {
 
 TEST(EventQueue, RunUntilOnEmptyAdvancesClock) {
   EventQueue q;
-  q.run_until(100.0);
+  q.run_until(100.0, SIZE_MAX, [](const EventDesc&) {});
   EXPECT_DOUBLE_EQ(q.now(), 100.0);
 }
 
 TEST(EventQueue, RunUntilBudgetExhaustionHoldsClockAtLastEvent) {
   EventQueue q;
   std::vector<double> fired;
-  for (double t : {1.0, 2.0, 3.0, 4.0})
-    q.schedule(t, [&fired, &q] { fired.push_back(q.now()); });
+  const auto record = [&](const EventDesc&) { fired.push_back(q.now()); };
+  for (double t : {1.0, 2.0, 3.0, 4.0}) q.schedule(t, tag(0));
   // The budget stops the slice with events <= until_s still pending: the
   // clock must NOT jump to the boundary, or those events would sit behind
-  // it and the next step() would run time backwards.
-  EXPECT_EQ(q.run_until(10.0, 2), 2u);
+  // it and the next pop would run time backwards.
+  EXPECT_EQ(q.run_until(10.0, 2, record), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
   EXPECT_EQ(q.pending(), 2u);
   // Resuming the slice completes it and only then parks at the boundary.
-  EXPECT_EQ(q.run_until(10.0, SIZE_MAX), 2u);
+  EXPECT_EQ(q.run_until(10.0, SIZE_MAX, record), 2u);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
   EXPECT_DOUBLE_EQ(q.now(), 10.0);
 }
@@ -101,20 +111,23 @@ TEST(EventQueue, WakePendingAtSliceBoundarySurvivesBudgetStop) {
   // stops run_until before reaching it -- the clock stays behind it and
   // the resumed slice delivers it.
   EventQueue q;
-  std::vector<std::string> fired;
-  q.schedule(1.0, EventDesc{EventDesc::Kind::kSleepEnter, 3, 0},
-             [&fired] { fired.push_back("sleep"); });
-  q.schedule(2.0, EventDesc{EventDesc::Kind::kEpoch, 0, 0, 2.0},
-             [&fired] { fired.push_back("epoch"); });
-  q.schedule(5.0, EventDesc{EventDesc::Kind::kWake, 7, 1},
-             [&fired] { fired.push_back("wake"); });  // on the boundary
-  EXPECT_EQ(q.run_until(5.0, 2), 2u);
+  std::vector<EventDesc::Kind> fired;
+  const auto record = [&fired](const EventDesc& e) {
+    fired.push_back(e.kind);
+  };
+  q.schedule(1.0, EventDesc{EventDesc::Kind::kSleepEnter, 3, 0});
+  q.schedule(2.0, EventDesc{EventDesc::Kind::kEpoch, 0, 0, 2.0});
+  q.schedule(5.0, EventDesc{EventDesc::Kind::kWake, 7, 1});  // on boundary
+  EXPECT_EQ(q.run_until(5.0, 2, record), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);  // held at the last processed event
   ASSERT_EQ(q.pending(), 1u);
-  EXPECT_DOUBLE_EQ(q.peek_time(), 5.0);
+  // The wake is still ahead of the clock: nothing runs strictly before it.
+  EXPECT_EQ(q.run_before(5.0, SIZE_MAX, record), 0u);
   // The resumed slice runs the wake; nothing was lost.
-  EXPECT_EQ(q.run_until(5.0), 1u);
-  EXPECT_EQ(fired, (std::vector<std::string>{"sleep", "epoch", "wake"}));
+  EXPECT_EQ(q.run_until(5.0, SIZE_MAX, record), 1u);
+  EXPECT_EQ(fired, (std::vector<EventDesc::Kind>{EventDesc::Kind::kSleepEnter,
+                                                 EventDesc::Kind::kEpoch,
+                                                 EventDesc::Kind::kWake}));
   EXPECT_DOUBLE_EQ(q.now(), 5.0);
 }
 
@@ -123,130 +136,86 @@ TEST(EventQueue, ThermalTiesRunBeforeSameInstantArrivals) {
   // thermal resolve must apply before arrivals and completions read the
   // demand it recomputes, whatever the scheduling order was.
   EventQueue q;
-  std::vector<std::string> fired;
-  q.schedule(600.0, EventDesc{EventDesc::Kind::kArrival, 0, 0},
-             [&fired] { fired.push_back("arrival"); });
-  q.schedule(600.0, EventDesc{EventDesc::Kind::kCompletion, 0, 1},
-             [&fired] { fired.push_back("completion"); });
-  q.schedule(600.0, EventDesc{EventDesc::Kind::kThermal, 0, 0, 600.0},
-             [&fired] { fired.push_back("thermal"); });
-  q.run();
-  EXPECT_EQ(fired, (std::vector<std::string>{"thermal", "arrival",
-                                             "completion"}));
+  q.schedule(600.0, EventDesc{EventDesc::Kind::kArrival, 0, 0});
+  q.schedule(600.0, EventDesc{EventDesc::Kind::kCompletion, 0, 1});
+  q.schedule(600.0, EventDesc{EventDesc::Kind::kThermal, 0, 0, 600.0});
+  std::vector<EventDesc::Kind> fired;
+  q.run_before(kInf, SIZE_MAX,
+               [&fired](const EventDesc& e) { fired.push_back(e.kind); });
+  EXPECT_EQ(fired, (std::vector<EventDesc::Kind>{EventDesc::Kind::kThermal,
+                                                 EventDesc::Kind::kArrival,
+                                                 EventDesc::Kind::kCompletion}));
 }
 
 TEST(EventQueue, PeekTime) {
+  // The earliest pending time is the boundary between run_before (which
+  // stops short of it) and run_until (which reaches it).
   EventQueue q;
-  q.schedule(7.0, [] {});
-  EXPECT_DOUBLE_EQ(q.peek_time(), 7.0);
-  q.step();
-  EXPECT_THROW(q.peek_time(), InvalidArgument);
+  q.schedule(7.0, tag(0));
+  EXPECT_EQ(q.run_before(7.0, SIZE_MAX, [](const EventDesc&) {}), 0u);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run_until(7.0, SIZE_MAX, [](const EventDesc&) {}), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 7.0);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, StepOnEmptyReturnsFalse) {
+  // Draining an empty queue dispatches nothing and leaves it empty.
   EventQueue q;
-  EXPECT_FALSE(q.step());
+  int calls = 0;
+  EXPECT_EQ(q.run_before(kInf, SIZE_MAX, [&](const EventDesc&) { ++calls; }),
+            0u);
+  EXPECT_EQ(calls, 0);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, EqualTimestampsStayFifoUnderMidRunScheduling) {
   // Heap-order stability: events at one timestamp fire in scheduling order
-  // even when some of them are scheduled from inside handlers while other
-  // equal-time events are already pending.
+  // even when some of them are scheduled from inside the dispatcher while
+  // other equal-time events are already pending.
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(5.0, [&] {
-    fired.push_back(0);
-    // Scheduled mid-run at the current time: must run after every
-    // already-pending event at t=5, in its own insertion order.
-    q.schedule(5.0, [&] { fired.push_back(3); });
-    q.schedule(5.0, [&] { fired.push_back(4); });
+  std::vector<std::uint64_t> fired;
+  q.schedule(5.0, tag(0));
+  q.schedule(5.0, tag(1));
+  q.schedule(5.0, tag(2));
+  q.run_before(kInf, SIZE_MAX, [&](const EventDesc& e) {
+    fired.push_back(e.a);
+    if (e.a == 0) {
+      // Scheduled mid-run at the current time: must run after every
+      // already-pending event at t=5, in its own insertion order.
+      q.schedule(5.0, tag(3));
+      q.schedule(5.0, tag(4));
+    }
   });
-  q.schedule(5.0, [&] { fired.push_back(1); });
-  q.schedule(5.0, [&] { fired.push_back(2); });
-  q.run();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, ClearKeepsCapacityAndRewindsClock) {
   EventQueue q;
-  int count = 0;
-  for (int i = 0; i < 100; ++i) q.schedule(i, [&] { ++count; });
-  q.run();
+  for (int i = 0; i < 100; ++i) q.schedule(i, tag(0));
+  std::size_t count = drain(q).size();
   EXPECT_DOUBLE_EQ(q.now(), 99.0);
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_DOUBLE_EQ(q.now(), 0.0);
   // Reusable: times before the old clock are valid again.
-  q.schedule(1.0, [&] { ++count; });
-  q.run();
-  EXPECT_EQ(count, 101);
-}
-
-TEST(SmallFn, InlineAndHeapStorage) {
-  int hits = 0;
-  SmallFn<64> small([&hits] { ++hits; });
-  EXPECT_TRUE(small.is_inline());
-  small();
-  EXPECT_EQ(hits, 1);
-
-  // A capture larger than the inline capacity falls back to the heap but
-  // still works (std::function drop-in behavior).
-  struct Big {
-    double pad[12];
-  };
-  Big big{};
-  big.pad[11] = 7.0;
-  double seen = 0.0;
-  SmallFn<64> large([big, &seen] { seen = big.pad[11]; });
-  EXPECT_FALSE(large.is_inline());
-  large();
-  EXPECT_DOUBLE_EQ(seen, 7.0);
-
-  // Move transfers the callable and empties the source.
-  SmallFn<64> moved = std::move(large);
-  EXPECT_TRUE(static_cast<bool>(moved));
-  EXPECT_FALSE(static_cast<bool>(large));
-  seen = 0.0;
-  moved();
-  EXPECT_DOUBLE_EQ(seen, 7.0);
-}
-
-TEST(SmallFn, SimulatorClosuresFitInline) {
-  // The zero-allocation rematch path depends on every closure the
-  // simulator schedules fitting SmallFn's inline buffer.
-  EventQueue q;
-  auto* self = &q;
-  std::size_t idx = 3;
-  std::uint64_t version = 9;
-  std::vector<std::size_t> taken{1, 2, 3};
-  double started = 1.5;
-  SmallFn<64> completion([self, idx, version] {
-    (void)self;
-    (void)idx;
-    (void)version;
-  });
-  SmallFn<64> profiling_end([self, t = std::move(taken), started] {
-    (void)self;
-    (void)t;
-    (void)started;
-  });
-  EXPECT_TRUE(completion.is_inline());
-  EXPECT_TRUE(profiling_end.is_inline());
+  q.schedule(1.0, tag(0));
+  count += drain(q).size();
+  EXPECT_EQ(count, 101u);
 }
 
 TEST(EventQueue, LargeVolumeStaysOrdered) {
   EventQueue q;
-  double last = -1.0;
-  bool ordered = true;
   for (int i = 0; i < 10000; ++i) {
     const double t = static_cast<double>((i * 7919) % 10007);
-    q.schedule(t, [&, t] {
-      if (t < last) ordered = false;
-      last = t;
-    });
+    q.schedule(t, EventDesc{EventDesc::Kind::kEpoch, 0, 0, t});
   }
-  q.run();
+  double last = -1.0;
+  bool ordered = true;
+  q.run_before(kInf, SIZE_MAX, [&](const EventDesc& e) {
+    if (e.t < last) ordered = false;
+    last = e.t;
+  });
   EXPECT_TRUE(ordered);
 }
 

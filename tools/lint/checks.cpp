@@ -89,8 +89,7 @@ const std::set<std::string>& det_banned_idents() {
 }
 
 // Banned only as direct calls `name(...)` (not member calls `.name(...)`):
-// these collide with common member spellings like `queue_.now()` or
-// `EventQueue::peek_time()`.
+// these collide with common member spellings like `queue_.now()`.
 const std::set<std::string>& det_banned_calls() {
   static const std::set<std::string> kCalls = {"rand", "time", "clock",
                                                "timespec_get"};

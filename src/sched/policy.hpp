@@ -143,6 +143,8 @@ class PlacementPolicy {
   /// Effi/Fair never draw, so their saved state is the seed position).
   std::string rng_state() const { return rng_.save_state(); }
   void set_rng_state(const std::string& state) { rng_.load_state(state); }
+  /// Rewind the placement stream to a fresh seed position.
+  void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
  private:
   std::optional<std::vector<std::size_t>> choose_efficient(

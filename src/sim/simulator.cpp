@@ -1291,6 +1291,8 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   // further allocations.
   queue_.clear();
   queue_.reserve(tasks.size() + profiling.size() + 8);
+  // A reused simulator must draw the placements a fresh one draws.
+  policy_.reseed(config_.seed);
   meter_.reset();
   battery_ = BatteryBank(config_.battery);
   tasks_.clear();

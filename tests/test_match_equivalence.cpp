@@ -609,19 +609,24 @@ TEST_F(TelemetryOffIdentity, WithBatteryProfilingAndFaults) {
 
 TEST(MatchEquivalence, ReusedSimulatorStaysEquivalent) {
   // Back-to-back runs on one simulator (warm scratch buffers) must behave
-  // exactly like a fresh one.
+  // exactly like a fresh one. The kRandom schemes also pin that prepare()
+  // rewinds the placement RNG to the seed.
   const Scenario s(12, 23);
   const auto tasks = s.make_tasks(25, 33);
   const HybridSupply supply = s.make_supply(43);
   SimConfig cfg;
   cfg.record_trace = true;
   cfg.record_timeline = true;
-  const Knowledge knowledge(&s.cluster, scheme_knowledge(Scheme::kScanEffi),
-                            &s.db);
-  DatacenterSim sim(&knowledge, scheme_rule(Scheme::kScanEffi), &supply, cfg);
-  const SimResult first = sim.run(tasks);
-  const SimResult second = sim.run(tasks);
-  expect_identical(first, second);
+  for (const Scheme scheme :
+       {Scheme::kScanEffi, Scheme::kBinRan, Scheme::kScanRan}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const Knowledge knowledge(&s.cluster, scheme_knowledge(scheme),
+                              scheme_uses_scan(scheme) ? &s.db : nullptr);
+    DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply, cfg);
+    const SimResult first = sim.run(tasks);
+    const SimResult second = sim.run(tasks);
+    expect_identical(first, second);
+  }
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ STAGES=(
   "lint            iscope_lint project invariants (determinism/layering/quantity/telemetry)"
   "tidy            clang-tidy profile, warnings-as-errors (skips if not installed)"
   "ubsan           UBSan rebuild + full tests"
-  "asan            ASan fault-injection + parser-fuzz tests"
+  "asan            ASan fault-injection + parser-fuzz + checkpoint tests"
   "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon"
   "coverage        src/fault + src/sched line-coverage floor (${COVERAGE_MIN}%)"
   "bench-compare   fig8 events/s vs the committed baseline (opt-in: --stage only, wall clocks are machine-relative)"
@@ -221,10 +221,12 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
-  # and hostile parser inputs -- where lifetime bugs would hide.
-  ASAN_TESTS="test_fault test_fuzz_parsers test_properties"
+  # hostile parser inputs and hostile checkpoint blobs (truncation at
+  # every prefix, out-of-range payloads) -- where lifetime bugs and
+  # over-reads would hide.
+  ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086

@@ -301,10 +301,12 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
   host.sim().prepare({}, {});
   for (const char* name :
        {"service_ckpt_badmagic.bin", "service_ckpt_truncated.bin",
-        // Format-v1 envelope: the v2 reader must refuse old blobs with a
-        // version error, never misparse them as v2.
+        // Format-v1 envelope: the reader must refuse old blobs with a
+        // version error, never misparse them as the current format.
         "service_ckpt_v1_version.bin",
-        // v2 blob cut inside the thermal/sleep identity section.
+        // v2 blob cut inside the thermal/sleep identity section. Since
+        // v3 (battery/wind/fault-plan identity) it pins the version
+        // rejection of a v2 blob instead.
         "service_ckpt_truncated_thermal.bin"}) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));

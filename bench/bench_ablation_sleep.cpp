@@ -25,8 +25,7 @@ int main() {
       ctx.make_tasks(ctx.config().urgency.hu_fraction);
   const HybridSupply supply = ctx.make_supply(true);
 
-  return bench::run_bench("ablation_sleep", [&] {
-    BenchCounters counters;
+  bench::run_bench([&] {
     TextTable table;
     table.set_header({"scheme", "active-idle USD", "sleep USD", "saving",
                       "idle kWh", "sleep kWh", "enters", "delayed starts"});
@@ -42,12 +41,6 @@ int main() {
       const SimResult slept = run_scheme(ctx.cluster(), variant,
                                          &ctx.profile_db(), supply, tasks,
                                          ctx.config().sim);
-      counters += BenchCounters{plain.events_processed,
-                                plain.dvfs_rematch_count,
-                                plain.tasks_completed};
-      counters += BenchCounters{slept.events_processed,
-                                slept.dvfs_rematch_count,
-                                slept.tasks_completed};
       table.add_row({scheme_name(base),
                      TextTable::num(plain.cost.dollars(), 2),
                      TextTable::num(slept.cost.dollars(), 2),
@@ -63,6 +56,5 @@ int main() {
                  "active-idle bill during diurnal troughs; the price is\n"
                  "wake-latency delayed starts, so heavily loaded schemes\n"
                  "keep more processors awake and save less.\n";
-    return counters;
   });
 }

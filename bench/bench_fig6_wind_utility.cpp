@@ -13,7 +13,7 @@ int main() {
   bench::print_banner("Fig.6", "utility & wind energy vs %HU and arrival rate");
 
   const ExperimentContext ctx(bench::bench_config());
-  return bench::run_bench("fig6_wind_utility", [&] {
+  bench::run_bench([&] {
     const std::vector<double> hu = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
     const auto hu_points = sweep_hu(ctx, hu, /*with_wind=*/true);
     bench::print_sweep(hu_points, "HU frac", "(A) utility energy [kWh]",
@@ -27,12 +27,5 @@ int main() {
                        [](const SimResult& r) { return r.energy.utility_kwh(); });
     bench::print_sweep(rate_points, "rate", "(D) wind energy [kWh]",
                        [](const SimResult& r) { return r.energy.wind_kwh(); });
-
-    BenchCounters counters;
-    for (const auto* points : {&hu_points, &rate_points})
-      for (const SweepPoint& p : *points)
-        counters += BenchCounters{p.result.events_processed,
-                                  p.result.dvfs_rematch_count};
-    return counters;
   });
 }

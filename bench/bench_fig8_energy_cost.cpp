@@ -13,11 +13,8 @@ int main() {
   bench::print_banner("Fig.8", "energy cost per scheme, with/without wind");
 
   const ExperimentContext ctx(bench::bench_config());
-  return bench::run_bench("fig8_energy_cost", [&] {
+  bench::run_bench([&] {
     const auto rows = energy_costs(ctx);
-    BenchCounters counters;
-    for (const CostRow& r : rows)
-      counters += BenchCounters{r.events, r.rematches};
 
     TextTable table;
     table.set_header(
@@ -54,9 +51,9 @@ int main() {
         << TextTable::pct(1.0 - cost_of(Scheme::kScanFair, false) /
                                     cost_of(Scheme::kBinRan, false))
         << " cheaper\n";
-    // Thermal captures (ISCOPE_THERMAL=1, -l thermal_on) carry the
-    // heat-aware sixth scheme: recirculation-sorted placement must pay
-    // off on the total compute+cooling bill versus the paper's best.
+    // Thermal runs (ISCOPE_THERMAL=1) carry the heat-aware sixth
+    // scheme: recirculation-sorted placement must pay off on the total
+    // compute+cooling bill versus the paper's best.
     if (ctx.config().sim.thermal.enabled) {
       const Scheme therm = ensure_extended_schemes_registered();
       std::cout << "Thermal (compute + CRAC cooling):\n"
@@ -69,6 +66,5 @@ int main() {
                                             cost_of(Scheme::kScanFair, false))
                 << " cheaper (no wind)\n";
     }
-    return counters;
   });
 }

@@ -1,10 +1,9 @@
 // Shard-scaling curve: one ScanFair run over the hyperscale preset
 // (ISCOPE_HYPERSCALE_PROCS CPUs, default 102 400), sharded per
-// ISCOPE_SHARDS / ISCOPE_SHARD_WORKERS. The committed baselines
-// (bench/baseline/BENCH_shard_scaling.shards_{1,4,16,64}.json) pin the
-// scaling curve of DESIGN.md Sec. 12; `tasks_completed` is the
+// ISCOPE_SHARDS / ISCOPE_SHARD_WORKERS. `tasks done` is the
 // scheduling-outcome counter and must be identical across shard counts,
-// while events/rematches grow with the per-shard epoch bookkeeping.
+// while events/rematches grow with the per-shard epoch bookkeeping
+// (DESIGN.md Sec. 12).
 #include "bench_util.hpp"
 
 int main() {
@@ -25,7 +24,7 @@ int main() {
   const std::vector<Task> tasks = ctx.make_tasks(cfg.urgency.hu_fraction);
   const HybridSupply supply = ctx.make_supply(true);
 
-  return bench::run_bench("shard_scaling", [&] {
+  bench::run_bench([&] {
     const SimResult r = ctx.run(Scheme::kScanFair, tasks, supply);
 
     TextTable table;
@@ -39,11 +38,5 @@ int main() {
                    TextTable::num(r.energy.wind.kwh(), 1),
                    TextTable::num(r.cost.dollars(), 2)});
     table.print(std::cout);
-
-    BenchCounters counters;
-    counters.events = r.events_processed;
-    counters.rematches = r.dvfs_rematch_count;
-    counters.tasks_completed = r.tasks_completed;
-    return counters;
   });
 }

@@ -1,20 +1,15 @@
 // Shared helpers for the figure/table reproduction binaries.
 #pragma once
 
-#include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <optional>
-#include <streambuf>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/bench_json.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
@@ -67,147 +62,21 @@ inline std::size_t env_count(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
 }
 
-/// Swallows std::cout for the scope (timed repeats re-print the same
-/// deterministic tables; only the warmup iteration's output is shown).
-class CoutSilencer {
- public:
-  CoutSilencer() : old_(std::cout.rdbuf(&null_)) {}
-  ~CoutSilencer() { std::cout.rdbuf(old_); }
-  CoutSilencer(const CoutSilencer&) = delete;
-  CoutSilencer& operator=(const CoutSilencer&) = delete;
-
- private:
-  struct NullBuf : std::streambuf {
-    int overflow(int c) override { return traits_type::not_eof(c); }
-    std::streamsize xsputn(const char*, std::streamsize n) override {
-      return n;
-    }
-  };
-  NullBuf null_;
-  std::streambuf* old_;
-};
-
-/// Condense the global telemetry state into the BENCH_*.json schema-v2
-/// summary block: span totals for the match/rematch hot paths, ring
-/// occupancy, the event-queue peak over every run, and each pool worker's
-/// busy fraction.
-inline TelemetrySummary collect_telemetry_summary() {
-  TelemetrySummary t;
-  t.present = true;
-  const telemetry::TraceLog& trace = telemetry::TraceLog::global();
-  t.match_span_s = trace.span_seconds("match");
-  t.rematch_span_s = trace.span_seconds("rematch");
-  t.span_events = static_cast<std::size_t>(trace.total_events());
-  t.span_dropped = static_cast<std::size_t>(trace.total_dropped());
-
-  const telemetry::Snapshot snap = telemetry::Registry::global().snapshot();
-  std::map<std::string, double> busy_s, uptime_s;
-  double peak = 0.0;
-  for (const telemetry::SnapshotFamily& fam : snap) {
-    if (fam.name == "iscope_sim_event_queue_peak") {
-      for (const telemetry::SnapshotCell& c : fam.cells)
-        peak = std::max(peak, c.value);
-    } else if (fam.name == "iscope_pool_worker_busy_seconds") {
-      for (const telemetry::SnapshotCell& c : fam.cells)
-        busy_s[c.labels.at(0)] = c.value;
-    } else if (fam.name == "iscope_pool_worker_uptime_seconds") {
-      for (const telemetry::SnapshotCell& c : fam.cells)
-        uptime_s[c.labels.at(0)] = c.value;
-    }
-  }
-  t.event_queue_peak = static_cast<std::size_t>(peak);
-  std::vector<std::pair<std::size_t, double>> fractions;
-  for (const auto& [worker, busy] : busy_s) {
-    const auto up = uptime_s.find(worker);
-    if (up == uptime_s.end() || up->second <= 0.0) continue;
-    fractions.emplace_back(std::strtoull(worker.c_str(), nullptr, 10),
-                           std::clamp(busy / up->second, 0.0, 1.0));
-  }
-  std::sort(fractions.begin(), fractions.end());
-  for (const auto& [worker, fraction] : fractions)
-    t.worker_busy_fraction.push_back(fraction);
-  return t;
-}
-
-/// Benchmark entry point. `fn` runs the figure once and returns the work
-/// counters it performed (sum of SimResult events/rematches).
+/// Benchmark entry point: runs the figure `fn` once.
 ///
-/// Default mode runs `fn` once, exactly as before. When ISCOPE_BENCH_JSON
-/// names a directory, the run becomes a capture: ISCOPE_BENCH_WARMUP
-/// (default 1) untimed iterations with visible output, then
-/// ISCOPE_BENCH_REPEAT (default 3) silenced, timed iterations, emitted as
-/// `<dir>/BENCH_<name>.json` (schema: common/bench_json.hpp).
-///
-/// ISCOPE_TELEMETRY arms the telemetry subsystem for the bench ("0"/empty
-/// = off). The global state is reset after warmup so the summary covers
-/// exactly the timed repeats, the capture gains the schema-v2 telemetry
-/// block, and any value other than "1" is treated as a directory to drop
-/// the full report bundle (metrics.prom/metrics.json/samples.csv/
-/// trace.json) into.
-///
-/// ISCOPE_BENCH_PERF=1 arms the hardware/OS counter probe: the capture
-/// gains the schema-v3 perf block covering exactly the timed repeats
-/// (instructions/cycles/branch-misses via perf_event_open, minor faults
-/// and peak RSS via rusage). Counter absence is graceful -- inside a
-/// container that refuses perf_event_open the hardware fields read -1 and
-/// the capture is still valid.
+/// ISCOPE_TELEMETRY arms the telemetry subsystem for the run ("0"/empty =
+/// off); any value other than "1" is treated as a directory to drop the
+/// full report bundle (metrics.prom/metrics.json/samples.csv/trace.json)
+/// into.
 template <typename Fn>
-int run_bench(const char* name, Fn fn) {
+void run_bench(Fn fn) {
   const char* telem = std::getenv("ISCOPE_TELEMETRY");
   const bool telemetry_on =
       telem != nullptr && *telem != '\0' && std::strcmp(telem, "0") != 0;
   if (telemetry_on) telemetry::set_enabled(true);
-
-  const char* dir = std::getenv("ISCOPE_BENCH_JSON");
-  if (dir == nullptr || *dir == '\0') {
-    fn();
-    if (telemetry_on && std::strcmp(telem, "1") != 0)
-      telemetry::write_run_report(telem);
-    return 0;
-  }
-
-  BenchReport report;
-  report.name = name;
-  if (const char* label = std::getenv("ISCOPE_BENCH_LABEL");
-      label != nullptr && *label != '\0')
-    report.label = label;
-  report.scale = env_scale();
-  report.warmup = env_count("ISCOPE_BENCH_WARMUP", 1);
-  const std::size_t repeats =
-      std::max<std::size_t>(1, env_count("ISCOPE_BENCH_REPEAT", 3));
-
-  const char* perf_env = std::getenv("ISCOPE_BENCH_PERF");
-  const bool perf_on = perf_env != nullptr && *perf_env != '\0' &&
-                       std::strcmp(perf_env, "0") != 0;
-
-  for (std::size_t i = 0; i < report.warmup; ++i) fn();
-  if (telemetry_on) telemetry::reset_global_telemetry();
-  std::optional<PerfProbe> probe;
-  if (perf_on) {
-    probe.emplace();
-    probe->start();
-  }
-  for (std::size_t i = 0; i < repeats; ++i) {
-    CoutSilencer quiet;
-    const auto start = std::chrono::steady_clock::now();
-    const BenchCounters counters = fn();
-    const auto stop = std::chrono::steady_clock::now();
-    report.wall_s.push_back(
-        std::chrono::duration<double>(stop - start).count());
-    if (i == 0) report.counters = counters;
-  }
-  if (probe.has_value()) report.perf = probe->stop();
-  report.peak_rss_bytes = peak_rss_bytes();
-  if (telemetry_on) {
-    report.telemetry = collect_telemetry_summary();
-    if (std::strcmp(telem, "1") != 0) telemetry::write_run_report(telem);
-  }
-
-  const std::string path = write_bench_json(dir, report);
-  std::cout << "(bench json: " << path << " ok; mean "
-            << report.wall_mean_s() << " s over " << repeats
-            << " repeats)\n";
-  return 0;
+  fn();
+  if (telemetry_on && std::strcmp(telem, "1") != 0)
+    telemetry::write_run_report(telem);
 }
 
 inline void print_banner(const char* id, const char* what) {

@@ -1,7 +1,9 @@
 #include "core/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -75,11 +77,17 @@ ExperimentConfig ExperimentConfig::hyperscale(std::size_t procs) {
 }
 
 ExperimentConfig ExperimentConfig::scaled(double factor) const {
-  ISCOPE_CHECK_ARG(factor > 0.0, "ExperimentConfig: scale must be > 0");
+  ISCOPE_CHECK_ARG(std::isfinite(factor) && factor > 0.0,
+                   "ExperimentConfig: scale must be finite and > 0");
   ExperimentConfig cfg = *this;
+  // 2^64 (for a 64-bit size_t): casting a double at or past it is undefined.
+  const double size_limit =
+      std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
   const auto scale_sz = [&](std::size_t v) {
-    return std::max<std::size_t>(1, static_cast<std::size_t>(
-                                        static_cast<double>(v) * factor));
+    const double count = static_cast<double>(v) * factor;
+    ISCOPE_CHECK_ARG(count < size_limit,
+                     "ExperimentConfig: scaled count does not fit size_t");
+    return std::max<std::size_t>(1, static_cast<std::size_t>(count));
   };
   cfg.cluster.num_processors = scale_sz(cluster.num_processors);
   cfg.workload.num_jobs = scale_sz(workload.num_jobs);
@@ -94,7 +102,7 @@ double env_scale() {
   const char* s = std::getenv("ISCOPE_SCALE");
   if (s == nullptr || *s == '\0') return 1.0;
   const double v = std::strtod(s, nullptr);
-  if (v <= 0.0) return 1.0;
+  if (!std::isfinite(v) || v <= 0.0) return 1.0;
   return std::clamp(v, 0.1, 20.0);
 }
 

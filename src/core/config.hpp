@@ -55,11 +55,14 @@ struct ExperimentConfig {
   static ExperimentConfig hyperscale(std::size_t procs = 102'400);
 
   /// Multiply processor and job counts by `factor` (>= keeps proportions).
+  /// Throws InvalidArgument when `factor` is not finite and > 0, or when a
+  /// scaled count does not fit size_t.
   ExperimentConfig scaled(double factor) const;
 };
 
 /// Read ISCOPE_SCALE from the environment (default 1.0, clamped to
-/// [0.1, 20]). Benches multiply `paper_small()` by this.
+/// [0.1, 20]; unparsable, non-positive and non-finite values read as 1.0).
+/// Benches multiply `paper_small()` by this.
 double env_scale();
 
 /// Read ISCOPE_PARALLEL from the environment (default 0 = one sweep worker

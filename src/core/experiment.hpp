@@ -75,7 +75,8 @@ struct CostRow {
   Usd cost;
   Joules utility;
   Joules wind;
-  // Work counters of the underlying run (for the benchmark harness).
+  // Work counters of the underlying run; their fig8 sums at scale 1 are
+  // pinned by PaperShapes.Fig8WorkCountersPinned (tests/test_experiment.cpp).
   std::size_t events = 0;
   std::size_t rematches = 0;
 };

@@ -113,14 +113,6 @@ std::uint64_t TraceLog::total_dropped() const {
   return n;
 }
 
-double TraceLog::span_seconds(const std::string& name) const {
-  double total_ns = 0.0;
-  for (const SpanRing* r : rings())
-    for (const SpanEvent& e : r->events())
-      if (name == e.name) total_ns += static_cast<double>(e.dur_ns);
-  return total_ns * 1e-9;
-}
-
 namespace {
 
 std::string json_escape(const char* s) {

@@ -87,9 +87,6 @@ class TraceLog {
   std::uint64_t total_events() const;
   std::uint64_t total_dropped() const;
 
-  /// Total recorded duration of spans named `name`, in seconds.
-  double span_seconds(const std::string& name) const;
-
   /// Chrome trace_event JSON ("object format" with traceEvents +
   /// displayTimeUnit). Safe to call while other threads trace; events
   /// pushed concurrently may or may not be included.
@@ -123,9 +120,8 @@ class TraceLog {
   }
 };
 
-/// RAII span. Construct through the ISCOPE_SPAN* macros -- they compile to
-/// nothing under ISCOPE_TELEMETRY_OFF and skip all work when telemetry is
-/// runtime-disabled.
+/// RAII span. Construct through the ISCOPE_SPAN* macros -- they skip all
+/// work when telemetry is disabled.
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, double sim_s, bool active);

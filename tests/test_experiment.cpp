@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace iscope {
@@ -41,6 +45,12 @@ TEST(ExperimentConfig, ScaledKeepsProportions) {
   EXPECT_DOUBLE_EQ(big.workload.mean_interarrival_s,
                    base.workload.mean_interarrival_s / 2.0);
   EXPECT_THROW(base.scaled(0.0), InvalidArgument);
+  // Non-finite factors and counts past size_t are rejected, not cast.
+  EXPECT_THROW(base.scaled(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgument);
+  EXPECT_THROW(base.scaled(std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  EXPECT_THROW(base.scaled(1e300), InvalidArgument);
 }
 
 TEST(ExperimentConfig, FullScaleIsPaperSize) {
@@ -170,11 +180,40 @@ TEST(PaperShapes, EnergyCostsCoverBothSupplies) {
   }
 }
 
+TEST(PaperShapes, Fig8WorkCountersPinned) {
+  // The fig8 sweep at scale 1 (bench_fig8_energy_cost's default config,
+  // whose scaled() caps task widths at a quarter of the facility) does
+  // exactly this much work. A refactor that must keep results
+  // bit-identical and moves either count changed the event stream or the
+  // rematch policy.
+  const ExperimentContext full(ExperimentConfig::paper_small().scaled(1.0));
+  std::size_t events = 0, rematches = 0;
+  for (const CostRow& r : energy_costs(full)) {
+    events += r.events;
+    rematches += r.rematches;
+  }
+  EXPECT_EQ(events, 27'132u);
+  EXPECT_EQ(rematches, 17'451u);
+}
+
 TEST(EnvScale, DefaultsToOne) {
-  // (Cannot portably set env vars per test; just exercise the parser path.)
+  const char* prior = std::getenv("ISCOPE_SCALE");
+  const std::string saved = prior != nullptr ? prior : "";
   const double s = env_scale();
   EXPECT_GE(s, 0.1);
   EXPECT_LE(s, 20.0);
+  // A non-finite value reads like unparsable text: the default scale.
+  for (const char* v : {"nan", "inf", "-inf", "bogus"}) {
+    setenv("ISCOPE_SCALE", v, 1);
+    EXPECT_EQ(env_scale(), 1.0) << v;
+  }
+  setenv("ISCOPE_SCALE", "2.5", 1);
+  EXPECT_EQ(env_scale(), 2.5);
+  if (prior != nullptr) {
+    setenv("ISCOPE_SCALE", saved.c_str(), 1);
+  } else {
+    unsetenv("ISCOPE_SCALE");
+  }
 }
 
 }  // namespace

@@ -106,9 +106,6 @@ TEST_F(LogTest, ConcurrentLoggersNeverInterleaveMidLine) {
 }
 
 TEST_F(LogTest, TelemetryCountsLinesPerLevel) {
-#ifdef ISCOPE_TELEMETRY_OFF
-  GTEST_SKIP() << "per-level counters compile out under ISCOPE_TELEMETRY_OFF";
-#endif
   telemetry::set_enabled(true);
   set_log_level(LogLevel::kDebug);
   ISCOPE_INFO("one");

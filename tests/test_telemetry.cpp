@@ -209,9 +209,6 @@ TEST(TelemetryValidator, RejectsMalformedPrometheusText) {
 }
 
 TEST_F(TelemetryTest, SpansNestAndRecordBothClocks) {
-#ifdef ISCOPE_TELEMETRY_OFF
-  GTEST_SKIP() << "span macros compile to nothing under ISCOPE_TELEMETRY_OFF";
-#endif
   set_enabled(true);
   TraceLog::global().set_thread_name("test-main");
   {
@@ -241,8 +238,7 @@ TEST_F(TelemetryTest, SpansNestAndRecordBothClocks) {
   EXPECT_LE(events[2].start_ns, events[0].start_ns);
   EXPECT_GE(events[2].start_ns + events[2].dur_ns,
             events[1].start_ns + events[1].dur_ns);
-  EXPECT_GT(TraceLog::global().span_seconds("inner"), 0.0);
-  EXPECT_DOUBLE_EQ(TraceLog::global().span_seconds("absent"), 0.0);
+  EXPECT_GT(events[0].dur_ns + events[1].dur_ns, 0u);
 }
 
 TEST(TelemetrySpanRing, OverflowDropsOldestAndCounts) {
@@ -266,8 +262,7 @@ TEST(TelemetrySpanRing, OverflowDropsOldestAndCounts) {
 }
 
 TEST_F(TelemetryTest, ChromeTraceExportIsWellFormed) {
-  // Direct ScopedSpan construction: stays compiled (and testable) even
-  // under ISCOPE_TELEMETRY_OFF, where the macros expand to nothing.
+  // Direct ScopedSpan construction, bypassing the macros.
   TraceLog::global().set_thread_name("chrome-test");
   {
     // iscope-lint: allow(telemetry) this test exercises the span

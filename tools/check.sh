@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # One-stop verification gate: strict build, full test suite, the smoke
-# stages (benchmark JSON, telemetry bundle, shard identity, service-mode
-# daemon), project lint (iscope_lint), clang-tidy (when installed),
-# sanitizer passes over the tests, and a line-coverage floor for the
-# fault-injection and scheduling layers.
+# stages (telemetry bundle, shard identity, service-mode daemon, thermal),
+# project lint (iscope_lint), clang-tidy (when installed), sanitizer
+# passes over the tests, a line-coverage floor for the fault-injection
+# and scheduling layers, and (opt-in) the BENCHMARK.json workloads via
+# perfbench/run.py, the repository's one benchmark harness.
 #
 # Usage:  tools/check.sh [--fast] [--stage <name>] [--help]
 #   --fast          skip the UBSan/ASan/TSan rebuilds and the coverage
@@ -28,7 +29,6 @@ COVERAGE_MIN=90
 STAGES=(
   "strict          strict build (-Werror -Wconversion -Wdouble-promotion, audit on)"
   "tests           full ctest suite on the strict build"
-  "bench-smoke     BENCH_*.json emission smoke (fig8 capture)"
   "telemetry-smoke report bundle + registry/SimResult cross-check"
   "shard-identity  1-shard bit-identity + worker-count determinism"
   "service         iscope_serve daemon: checkpoint identity, e2e stream-vs-batch, wire fuzz"
@@ -39,12 +39,11 @@ STAGES=(
   "asan            ASan fault-injection + parser-fuzz + checkpoint tests"
   "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon"
   "coverage        src/fault + src/sched line-coverage floor (${COVERAGE_MIN}%)"
-  "bench-compare   fig8 events/s vs the committed baseline (opt-in: --stage only, wall clocks are machine-relative)"
   "perfbench       each BENCHMARK.json workload once, outcomes vs perfbench/expected.tsv (opt-in: --stage only)"
 )
 
 usage() {
-  sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
   printf '\nStages (default order; --fast stops after tidy):\n'
   for s in "${STAGES[@]}"; do printf '  %s\n' "$s"; done
 }
@@ -79,10 +78,9 @@ want() {
   if [ -n "$ONLY_STAGE" ]; then [ "$1" = "$ONLY_STAGE" ]; return; fi
   case "$1" in
     ubsan|asan|tsan|coverage) [ "$FAST" -eq 0 ] ;;
-    # Opt-in only: the committed baseline's wall clocks were taken on one
-    # machine, so the threshold gate is meaningful there, noise elsewhere.
-    # perfbench builds its own Release tree and runs for minutes.
-    bench-compare|perfbench) false ;;
+    # Opt-in only: perfbench builds its own Release tree and runs for
+    # minutes.
+    perfbench) false ;;
     *) true ;;
   esac
 }
@@ -103,21 +101,6 @@ stage_tests() {
   stage "tests (strict build)"
   [ -n "$ONLY_STAGE" ] && ensure_strict > /dev/null
   ctest --test-dir build-check/strict --output-on-failure
-}
-
-stage_bench_smoke() {
-  stage "bench smoke (BENCH_*.json emission)"
-  [ -n "$ONLY_STAGE" ] && ensure_strict bench_fig8_energy_cost > /dev/null
-  BENCH_DIR="build-check/bench-smoke"
-  mkdir -p "$BENCH_DIR"
-  ISCOPE_SCALE=0.2 ISCOPE_PARALLEL=1 \
-  ISCOPE_BENCH_JSON="$BENCH_DIR" ISCOPE_BENCH_REPEAT=1 ISCOPE_BENCH_WARMUP=0 \
-      ./build-check/strict/bench/bench_fig8_energy_cost > /dev/null
-  SMOKE_JSON="$BENCH_DIR/BENCH_fig8_energy_cost.json"
-  [ -s "$SMOKE_JSON" ] || { echo "bench smoke: $SMOKE_JSON missing" >&2; exit 1; }
-  grep -q '"schema_version": 1' "$SMOKE_JSON" \
-      || { echo "bench smoke: $SMOKE_JSON lacks schema_version 1" >&2; exit 1; }
-  echo "bench capture ok: $SMOKE_JSON"
 }
 
 stage_telemetry_smoke() {
@@ -309,21 +292,6 @@ stage_coverage() {
         }'
 }
 
-stage_bench_compare() {
-  stage "bench compare (fig8 events/s vs committed baseline, -5% gate)"
-  BASELINE="bench/baseline/BENCH_fig8_energy_cost.soa_post.json"
-  [ -r "$BASELINE" ] \
-      || { echo "bench compare: $BASELINE missing" >&2; exit 1; }
-  # Re-capture with the baseline's exact settings (scale 1, 1 warmup + 3
-  # timed, serial) and gate with the default +/-5% events/s threshold.
-  # Counter equality doubles as a behavioral-identity check: a capture
-  # that processed different events is an error, not a regression.
-  tools/bench.sh -o build-check/bench-compare -r 3 -w 1 -l current \
-      bench_fig8_energy_cost > /dev/null
-  tools/bench.sh --compare "$BASELINE" \
-      build-check/bench-compare/BENCH_fig8_energy_cost.current.json
-}
-
 stage_perfbench() {
   stage "perfbench (each BENCHMARK.json workload once, outcome check)"
   # perfbench/run.py checks every run's scheduling outcomes against
@@ -349,7 +317,6 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
 
 want strict          && stage_strict
 want tests           && stage_tests
-want bench-smoke     && stage_bench_smoke
 want telemetry-smoke && stage_telemetry_smoke
 want shard-identity  && stage_shard_identity
 want service         && stage_service
@@ -360,7 +327,6 @@ want ubsan           && stage_ubsan
 want asan            && stage_asan
 want tsan            && stage_tsan
 want coverage        && stage_coverage
-want bench-compare   && stage_bench_compare
 want perfbench       && stage_perfbench
 
 if [ -n "$ONLY_STAGE" ]; then

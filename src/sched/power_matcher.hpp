@@ -27,8 +27,9 @@
 // `match_columns` / `match_incremental`, over MatcherColumns rows whose
 // per-level power tables are built once at task start. `match_reference`
 // is the oracle: the same algorithm over `ActiveTask` views, summing each
-// task's power over its processors. tests/test_match_equivalence.cpp
-// asserts the two produce bit-identical schedules.
+// task's power over its processors. IncrementalProperty
+// (tests/test_match_equivalence.cpp) asserts the two produce bit-identical
+// levels and sums over randomized populations and wind walks.
 #pragma once
 
 #include <cstddef>
@@ -160,8 +161,7 @@ class PowerMatcher {
 
   /// The oracle: assigns every task's level (see file comment for the
   /// algorithm) with a priority_queue and O(procs) power sums. Reference
-  /// for the scheduler-equivalence suite and the unit tests; not a hot
-  /// path.
+  /// for the matcher property tests and the unit tests; not a hot path.
   MatchResult match_reference(std::vector<ActiveTask>& tasks,
                               Watts wind_avail, double now_s) const;
 

@@ -23,13 +23,15 @@
 // intrusive doubly-linked list through SimTask (O(1) removal that --
 // unlike swap-and-pop -- preserves start order, which the matcher's
 // floating-point sums and equal-saving tiebreaks depend on for
-// bit-reproducibility). The default matcher path mirrors the running set
-// into SoA columns in the same order (matcher_columns.hpp) so the
-// deadline-floor scan vectorizes, caches the greedy down-step trajectory
-// for the incremental delta-rematch (power_matcher.hpp), and places tasks
-// by rank scan instead of per-task partial_sorts. The pre-optimization
-// path is retained behind SimConfig::use_reference_matcher and is held
-// bit-identical by tests/test_match_equivalence.cpp.
+// bit-reproducibility). The matcher sees the running set as SoA columns
+// in the same order (matcher_columns.hpp), so the deadline-floor scan
+// vectorizes, and it caches the greedy down-step trajectory for the
+// incremental delta-rematch (power_matcher.hpp). Effi/Fair/Therm place
+// tasks by a scan of a rank-indexed idle bitset instead of per-task
+// partial_sorts. There is one production path: the pure-function oracles
+// (PowerMatcher::match_reference, PlacementPolicy::choose) are checked
+// against it by property tests, and tests/test_match_equivalence.cpp pins
+// whole runs to golden digests.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +88,6 @@ struct SimConfig {
   /// it before the utility grid steps in. Default: absent. Wind energy is
   /// paid at absorption, so round-trip losses are on the wind bill.
   BatteryConfig battery;
-  /// Test-only: drive rematch through the retained pre-optimization
-  /// matcher path (deep-copied views, O(procs) power sums, per-task
-  /// partial-sort placement). The scheduler-equivalence suite asserts this
-  /// produces bit-identical results to the default optimized path (SoA
-  /// columns + rank-scan placement).
-  bool use_reference_matcher = false;
   /// Reuse the previous solve's greedy down-step trajectory when only the
   /// wind budget moved between rematches (delta-rematch, DESIGN.md
   /// Sec. 14). The replay is exact -- results are bit-identical either
@@ -277,8 +273,7 @@ class DatacenterSim {
     /// Intrusive links of the running list (kNone when not running).
     std::size_t run_prev = kNone;
     std::size_t run_next = kNone;
-    /// Row in the SoA matcher columns while running (kNone otherwise;
-    /// unused on the reference-matcher path).
+    /// Row in the SoA matcher columns while running (kNone otherwise).
     std::size_t col = kNone;
     /// Latest deadline-feasible start at the top frequency, cached at
     /// prepare() (it is a pure function of the immutable spec).
@@ -385,7 +380,6 @@ class DatacenterSim {
   void unlink_running(std::size_t idx);
   /// Drop a task's SoA row (order-preserving shift; re-points the row
   /// handles of every shifted task) and invalidate the incremental cache.
-  /// No-op on the reference-matcher path, which keeps no columns.
   void cols_remove(std::size_t idx);
   /// Fill the task's row of the per-level power table from its processors.
   void fill_power_table(std::size_t idx);
@@ -425,40 +419,32 @@ class DatacenterSim {
   std::size_t waiting_cpus_ = 0;           ///< total width of waiting_
   std::vector<std::size_t> proc_running_;  ///< task idx or kNone
   std::vector<double> busy_time_s_;
-  /// Idle, non-reserved processors: flags + count are always maintained
-  /// (the placement fast path tests membership in O(1)); the sorted id
-  /// list is only kept where something consumes its order -- the kRandom
-  /// scratch copy and the reference path (maintain_idle_sorted_). The
-  /// (busy time, id)-ordered list feeds Fair's abundant-wind pick and is
-  /// kept only there (maintain_idle_by_busy_). Busy time is frozen while
-  /// a processor sits idle, so order maintenance happens purely at
-  /// insert/remove.
+  /// Idle, non-reserved processors: flags + count and the rank bitset
+  /// below are maintained for every rule. The sorted id list feeds only
+  /// kRandom's scratch copy (maintain_idle_sorted_); the (busy time,
+  /// id)-ordered list feeds only Fair's abundant-wind pick
+  /// (maintain_idle_by_busy_). Busy time is frozen while a processor sits
+  /// idle, so order maintenance happens purely at insert/remove.
   std::vector<std::uint8_t> idle_flags_;
   std::size_t idle_count_ = 0;
   std::vector<std::size_t> idle_sorted_;
   std::vector<std::size_t> idle_by_busy_;
-  /// Rank-indexed idle bitset for the fast path's best-rank-first pick:
-  /// bit r (word r/64) set means the processor with efficiency rank r is
-  /// idle. Insert/remove is one bit op; PlacementPolicy::choose_soa pops
-  /// picks with a ctz scan instead of walking the efficiency order.
-  /// Maintained only when fast_placement_ (rank_of_proc_ caches the
-  /// policy's rank table for the O(1) updates).
+  /// Rank-indexed idle bitset for the best-rank-first pick: bit r (word
+  /// r/64) set means the processor with efficiency rank r is idle.
+  /// Insert/remove is one bit op; PlacementPolicy::choose_soa pops picks
+  /// with a ctz scan instead of walking the efficiency order
+  /// (rank_of_proc_ caches the policy's rank table for the O(1) updates).
   std::vector<std::uint64_t> idle_rank_bits_;
   std::vector<std::size_t> rank_of_proc_;
-  bool maintain_idle_sorted_ = true;
-  bool maintain_idle_by_busy_ = false;
-  /// True when schedule_pass may skip the idle-vector copy and the
-  /// per-task partial_sort: the default matcher with a deterministic rule
-  /// (Effi/Fair). kRandom's draws depend on the legacy scratch layout and
-  /// the reference path *is* the legacy code, so both keep it.
-  bool fast_placement_ = false;
+  bool maintain_idle_sorted_ = false;   ///< kRandom only
+  bool maintain_idle_by_busy_ = false;  ///< kFair only
   std::vector<std::size_t> pick_scratch_;  ///< choose_soa output buffer
   /// Running set: intrusive list through SimTask::run_prev/run_next, in
   /// start order (head is the longest-running task).
   std::size_t run_head_ = kNone;
   std::size_t run_tail_ = kNone;
   std::size_t run_count_ = 0;
-  std::vector<std::size_t> idle_scratch_;
+  std::vector<std::size_t> idle_scratch_;  ///< kRandom's per-pass snapshot
   std::vector<bool> reserved_;             ///< isolated for profiling
   Watts reserved_power_;                   ///< IT power of active scans
   double profiling_proc_seconds_ = 0.0;
@@ -487,11 +473,10 @@ class DatacenterSim {
   /// generation is unchanged.
   std::vector<double> power_table_;
   std::uint64_t knowledge_gen_ = 0;        ///< generation the table matches
-  std::vector<ActiveTask> views_;          ///< reference-path view scratch
   MatchScratch match_scratch_;             ///< matcher floor/heap scratch
-  /// SoA mirror of the running set in running-list order (the default
-  /// matcher path; see matcher_columns.hpp) plus the cached greedy
-  /// trajectory for the incremental delta-rematch.
+  /// SoA mirror of the running set in running-list order (see
+  /// matcher_columns.hpp) plus the cached greedy trajectory for the
+  /// incremental delta-rematch.
   MatcherColumns cols_;
   IncrementalMatchState inc_;
   std::vector<double> slowdown_ratio_;     ///< (fmax / f_l - 1) per level

@@ -41,8 +41,12 @@ struct Task {
   double latest_start_s(double f_ghz, double fmax_ghz) const;
 };
 
-/// Sanity-check a task list: positive runtimes and widths, deadlines after
-/// submission, gamma in [0,1], non-decreasing submit order not required.
+/// Sanity-check one task: a finite positive runtime, a positive width, a
+/// non-negative submit time, a deadline after submission, gamma in [0,1].
+/// Throws InvalidArgument on the first violation.
+void validate_task(const Task& task);
+
+/// validate_task over a list (non-decreasing submit order not required).
 void validate_tasks(const std::vector<Task>& tasks);
 
 /// Sort by submit time (stable; ties keep input order).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -125,6 +126,22 @@ TEST(Simulator, WiderThanClusterThrows) {
   Fixture f;
   EXPECT_THROW(f.run(Scheme::kBinRan, {simple_task(1, 0.0, 9, 10.0)}),
                InvalidArgument);
+}
+
+TEST(Simulator, AdmitRejectsInvalidTasks) {
+  // admit() runs the same per-task check as prepare(), plus the cluster
+  // width and the simulation clock.
+  Fixture f;
+  const Knowledge k(&f.cluster, KnowledgeSource::kBin);
+  const HybridSupply supply;
+  DatacenterSim sim(&k, PlacementRule::kEfficiency, &supply, SimConfig{});
+  sim.prepare({});
+  Task inf = simple_task(1, 0.0, 1, 100.0);
+  inf.runtime_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sim.admit(inf), InvalidArgument);
+  Task wide = simple_task(2, 0.0, f.cluster.size() + 1, 100.0);
+  EXPECT_THROW(sim.admit(wide), InvalidArgument);
+  EXPECT_EQ(sim.admit(simple_task(3, 0.0, 1, 100.0)), 0u);
 }
 
 TEST(Simulator, Deterministic) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -76,6 +77,10 @@ TEST(TaskUtils, ValidateCatchesBadTasks) {
   EXPECT_NO_THROW(validate_tasks(ok));
   auto bad = ok;
   bad[0].runtime_s = 0.0;
+  EXPECT_THROW(validate_tasks(bad), InvalidArgument);
+  // An infinite runtime never completes: the run would burn its whole
+  // event budget instead of failing up front.
+  bad[0].runtime_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(validate_tasks(bad), InvalidArgument);
   bad = ok;
   bad[0].cpus = 0;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -197,6 +203,120 @@ TEST(A10Params, CalibratedToFigure4) {
   EXPECT_LT(stats.max(), 1.31);
   // Everything runs below the 1.375 V nominal (the ~9% margin claim).
   EXPECT_LT(stats.max(), 1.375);
+}
+
+// ------------------------------------------------ Min Vdd oracle property
+//
+// min_vdd skips the bisection steps whose outcome is already certain
+// (varius.cpp). The unaccelerated solve stays here as the oracle: a fixed
+// 80-step bisection with one fmax evaluation per step, the argument checks
+// and the unreachable-frequency throw in the same order.
+
+double min_vdd_bisection(const VariusModel& m, const CoreVariation& core,
+                         double f_ghz, double v_ceiling) {
+  ISCOPE_CHECK_ARG(f_ghz > 0.0, "min_vdd: frequency must be > 0");
+  ISCOPE_CHECK_ARG(v_ceiling > core.vth, "min_vdd: ceiling below Vth");
+  if (m.fmax_ghz(core, v_ceiling) < f_ghz)
+    throw InvalidArgument("min_vdd: frequency unreachable below ceiling");
+  // fmax is monotone increasing in V for alpha >= 1, so bisect.
+  double lo = core.vth + 1e-6;
+  double hi = v_ceiling;
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (m.fmax_ghz(core, mid) >= f_ghz) hi = mid;
+    else lo = mid;
+  }
+  return std::max(hi, m.params().v_floor);
+}
+
+/// A solve's outcome: the result's bit pattern, or that it threw.
+struct Outcome {
+  bool threw = false;
+  std::uint64_t bits = 0;
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename Solve>
+Outcome outcome_of(Solve&& solve) {
+  try {
+    return {false, std::bit_cast<std::uint64_t>(solve())};
+  } catch (const InvalidArgument&) {
+    return {true, 0};
+  }
+}
+
+/// `x` moved by `ulps` representable doubles (negative = down).
+double ulp_step(double x, std::int64_t ulps) {
+  const double toward =
+      ulps < 0 ? 0.0 : std::numeric_limits<double>::infinity();
+  for (std::int64_t i = 0; i < std::abs(ulps); ++i)
+    x = std::nextafter(x, toward);
+  return x;
+}
+
+TEST(MinVddProperty, MatchesPlainBisectionBitForBit) {
+  VariusParams no_floor;
+  no_floor.v_floor = 0.0;
+  VariusParams high_vth;  // some cores start the bisection above the floor
+  high_vth.vth_nominal = 0.66;
+  const VariusParams param_sets[] = {VariusParams{}, a10_params(), no_floor,
+                                     high_vth};
+  std::uint64_t draws = 0;
+  std::uint64_t seed = 100;
+  for (const VariusParams& params : param_sets) {
+    const VariusModel m(params, quad_core_layout());
+    Rng rng(++seed);
+    for (int chip_i = 0; chip_i < 600; ++chip_i) {
+      const ChipVariation chip = m.sample_chip(rng);
+      for (const CoreVariation& core : chip.cores) {
+        for (const double ceiling : {2.0, 3.0}) {
+          const double f_ceiling = m.fmax_ghz(core, ceiling);
+          const double f_floor =
+              params.v_floor > 0.0 ? m.fmax_ghz(core, params.v_floor) : 0.0;
+          // The bisection starts at lo = vth + 1e-6 without evaluating it.
+          const double f_start = m.fmax_ghz(core, core.vth + 1e-6);
+          std::vector<double> freqs;
+          // Anywhere in (0, fmax(ceiling)].
+          for (int k = 0; k < 3; ++k)
+            freqs.push_back(f_ceiling * (1.0 - rng.uniform()));
+          // Within 1e-9 relative of fmax(v_floor), where the floor
+          // certificate stops firing, and a few ULPs around the exact
+          // certificate threshold and around fmax(v_floor) itself.
+          if (f_floor > 0.0) {
+            freqs.push_back(f_floor * (1.0 + rng.uniform(-1e-9, 1e-9)));
+            freqs.push_back(
+                ulp_step(f_floor / (1.0 + 1e-9), rng.uniform_int(-8, 8)));
+            freqs.push_back(ulp_step(f_floor, rng.uniform_int(-8, 8)));
+          } else {
+            for (int k = 0; k < 3; ++k)
+              freqs.push_back(f_ceiling * (1.0 - rng.uniform()));
+          }
+          // At or below fmax(vth + 1e-6), where even the unevaluated start
+          // of the bracket is fast enough, and a few ULPs around it.
+          freqs.push_back(f_start * (1.0 - rng.uniform()));
+          freqs.push_back(ulp_step(f_start, rng.uniform_int(-8, 8)));
+          // Within 1e-9 relative of fmax(ceiling), half of them unreachable,
+          // and a few ULPs around it.
+          for (int k = 0; k < 2; ++k)
+            freqs.push_back(f_ceiling * (1.0 + rng.uniform(-1e-9, 1e-9)));
+          freqs.push_back(ulp_step(f_ceiling, rng.uniform_int(-4, 4)));
+          for (const double f : freqs) {
+            const Outcome want = outcome_of(
+                [&] { return min_vdd_bisection(m, core, f, ceiling); });
+            const Outcome got =
+                outcome_of([&] { return m.min_vdd(core, f, ceiling); });
+            ASSERT_EQ(got, want)
+                << "vth " << core.vth << " speed_k " << core.speed_k
+                << " f " << f << " ceiling " << ceiling << " floor "
+                << params.v_floor << " threw " << got.threw << "/"
+                << want.threw;
+            ++draws;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(draws, 100'000u);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <memory>
 #include <numeric>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fnv1a.hpp"
 #include "profiling/scanner.hpp"
 #include "sched/power_matcher.hpp"
 #include "sim/sharded.hpp"
@@ -99,21 +99,6 @@ void expect_identical(const SimResult& a, const SimResult& b) {
 // A 64-bit FNV-1a over every value expect_identical compares, in the same
 // order (doubles by bit pattern, sizes as 64-bit words). Two runs with
 // equal digests are, with overwhelming probability, bit-identical.
-
-class Fnv1a {
- public:
-  void word(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 std::uint64_t result_digest(const SimResult& r) {
   Fnv1a h;

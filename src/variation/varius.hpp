@@ -78,7 +78,9 @@ class VariusModel {
 
   /// Minimum supply voltage at which the core sustains `f_ghz`, including
   /// the retention floor. Throws InvalidArgument if the frequency is
-  /// unreachable below `v_ceiling`.
+  /// unreachable below `v_ceiling`. The result is, bit for bit, that of an
+  /// 80-step bisection of fmax over [vth + 1e-6, v_ceiling]; the steps
+  /// whose outcome is certain are skipped (varius.cpp gives the bounds).
   double min_vdd(const CoreVariation& core, double f_ghz,
                  double v_ceiling = 2.0) const;
 

@@ -1,5 +1,5 @@
 // 64-bit FNV-1a for the golden-digest tables (match_digests.inc,
-// cluster_digests.inc): words hash as their 8 little-endian bytes and
+// cluster_digests.inc, thermal_digests.inc): words hash as their 8 little-endian bytes and
 // doubles by bit pattern, so any ULP change moves the digest.
 #pragma once
 

@@ -14,13 +14,27 @@
 //    bit-identical to one drain (PR 9 clock-fix coverage, sleep edition).
 //  * Extended schemes: ScanTherm forces the thermal model on; the *Sleep
 //    variants force a sleep policy.
+//  * ThermalDigests: whole-run golden digests (thermal_digests.inc) of
+//    thermal runs, flat and sharded, captured before the CRAC solve and
+//    the rack-power gather learned to skip idle racks.
+//  * ThermalSolveProperty: the production solve against the dense
+//    row-major loop it replaced, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "profiling/scanner.hpp"
+#include "result_digest.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/thermal.hpp"
@@ -90,13 +104,14 @@ struct Scenario {
   }
 
   std::vector<Task> make_tasks(std::size_t count, std::size_t max_cpus,
-                               std::uint64_t seed) const {
+                               std::uint64_t seed,
+                               double max_gap_s = 400.0) const {
     Rng rng(seed);
     std::vector<Task> tasks;
     tasks.reserve(count);
     double submit = 0.0;
     for (std::size_t i = 0; i < count; ++i) {
-      submit += rng.uniform(0.0, 400.0);
+      submit += rng.uniform(0.0, max_gap_s);
       Task t;
       t.id = static_cast<std::int64_t>(i + 1);
       t.submit_s = submit;
@@ -421,6 +436,279 @@ TEST(ExtendedSchemes, SleepVariantsForceASleepPolicy) {
   const SimResult honest =
       run_scheme(s.cluster, scheme, &s.db, supply, tasks, explicit_cfg);
   EXPECT_EQ(honest.sleep_enters, 0u);
+}
+
+// -------------------------------------------------------- golden digests
+//
+// Thermal runs on a facility of 48-CPU racks (ten racks at 480 CPUs):
+// ScanEffi, ScanFair, BinRan and ScanTherm (install_thermal_order's
+// stripe), flat and over five rack-aligned shards, each with sleep off and
+// with the timeout governor; the same runs under crash faults plus a CRAC
+// derate window; a 500-CPU facility whose last rack holds 20 CPUs; and
+// profiling windows that reserve a whole rack. Arrivals up to 1 500 s
+// apart leave whole racks idle at many barriers. Each run's result_digest
+// must equal its entry in thermal_digests.inc, captured while the CRAC
+// solve was a dense row-major mat-vec and the rack-power gather visited
+// every processor. Regenerate the table (a deliberate result change
+// only) with ThermalDigests.DISABLED_PrintTable; DESIGN.md Sec. 9 gives
+// the command.
+
+struct ThermalDigest {
+  const char* key;  ///< "ThermalDigests.<Test>/<layout>/<scheme>/<sleep>"
+  std::uint64_t digest;
+};
+
+constexpr ThermalDigest kThermalDigests[] = {
+#include "thermal_digests.inc"
+};
+
+/// Set only while ThermalDigests.DISABLED_PrintTable collects the table:
+/// expect_thermal_golden then records instead of checking.
+std::vector<std::pair<std::string, std::uint64_t>>* g_thermal_sink = nullptr;
+
+void expect_thermal_golden(const std::string& key, const SimResult& result) {
+  const std::uint64_t digest = result_digest(result);
+  if (g_thermal_sink != nullptr) {
+    g_thermal_sink->emplace_back(key, digest);
+    return;
+  }
+  const auto* const it = std::find_if(
+      std::begin(kThermalDigests), std::end(kThermalDigests),
+      [&key](const ThermalDigest& g) { return key == g.key; });
+  ASSERT_NE(it, std::end(kThermalDigests))
+      << "no golden digest for " << key << " (regenerate thermal_digests.inc)";
+  EXPECT_EQ(digest, it->digest) << key;
+}
+
+SimConfig digest_config(bool sleep) {
+  SimConfig cfg;
+  cfg.record_trace = true;
+  cfg.record_timeline = true;
+  cfg.thermal.enabled = true;
+  if (sleep) cfg.sleep.policy = SleepPolicy::kTimeout;
+  return cfg;
+}
+
+/// Every scheme x {flat, 5 shards} x {sleep off, timeout} on a facility
+/// of `procs` CPUs, optionally under the fault spec `faults`.
+void thermal_digest_matrix(const char* test, std::size_t procs,
+                           const char* faults) {
+  const Scenario s(procs, 401);
+  const auto tasks = s.make_tasks(90, 48, 403, /*max_gap_s=*/1500.0);
+  const HybridSupply supply = s.make_supply(405);
+  const Scheme scan_therm = ensure_extended_schemes_registered();
+  for (const Scheme scheme :
+       {Scheme::kScanEffi, Scheme::kScanFair, Scheme::kBinRan, scan_therm}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{5}}) {
+      for (const bool sleep : {false, true}) {
+        SimConfig cfg = digest_config(sleep);
+        cfg.topology.shards = shards;
+        if (faults != nullptr) cfg.faults = parse_fault_spec(faults);
+        expect_thermal_golden(
+            std::string("ThermalDigests.") + test + "/" +
+                (shards == 1 ? "flat" : "shards5") + "/" +
+                scheme_name(scheme) + "/" +
+                (sleep ? "sleep-timeout" : "sleep-off"),
+            run_scheme(s.cluster, scheme, &s.db, supply, tasks, cfg));
+      }
+    }
+  }
+}
+
+void thermal_digests_healthy() {
+  thermal_digest_matrix("Healthy", 480, nullptr);
+}
+
+void thermal_digests_crashes_and_crac_derate() {
+  thermal_digest_matrix(
+      "CrashesAndCracDerate", 480,
+      "mtbf=1000000,repair=3000,crac=0.5,crac-start=6000,"
+      "crac-duration=12000");
+}
+
+void thermal_digests_partial_last_rack() {
+  thermal_digest_matrix("PartialLastRack", 500, nullptr);
+}
+
+void thermal_digests_profiling_reserves_a_rack() {
+  // Each window isolates all 48 CPUs of rack 2 (or those of them idle at
+  // its start), so whole racks sit reserved with no idle processor.
+  const Scenario s(480, 409);
+  const auto tasks = s.make_tasks(90, 48, 411, /*max_gap_s=*/1500.0);
+  const HybridSupply supply = s.make_supply(413);
+  std::vector<ProfilingWindow> windows;
+  for (std::size_t w = 0; w < 3; ++w) {
+    ProfilingWindow win;
+    win.start_s = 2000.0 + 9000.0 * static_cast<double>(w);
+    win.duration_s = 2400.0;
+    win.proc_ids.resize(48);
+    std::iota(win.proc_ids.begin(), win.proc_ids.end(), std::size_t{96});
+    windows.push_back(win);
+  }
+  for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair}) {
+    Knowledge knowledge(&s.cluster, scheme_knowledge(scheme), &s.db);
+    DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply,
+                      digest_config(false));
+    expect_thermal_golden(std::string("ThermalDigests.ProfilingReservesARack/"
+                                      "flat/") +
+                              scheme_name(scheme) + "/sleep-off",
+                          sim.run(tasks, windows));
+  }
+}
+
+TEST(ThermalDigests, Healthy) { thermal_digests_healthy(); }
+TEST(ThermalDigests, CrashesAndCracDerate) {
+  thermal_digests_crashes_and_crac_derate();
+}
+TEST(ThermalDigests, PartialLastRack) { thermal_digests_partial_last_rack(); }
+TEST(ThermalDigests, ProfilingReservesARack) {
+  thermal_digests_profiling_reserves_a_rack();
+}
+
+// Regeneration path (DESIGN.md Sec. 9): runs every digest group and
+// prints thermal_digests.inc in source form.
+TEST(ThermalDigests, DISABLED_PrintTable) {
+  std::vector<std::pair<std::string, std::uint64_t>> table;
+  g_thermal_sink = &table;
+  thermal_digests_healthy();
+  thermal_digests_crashes_and_crac_derate();
+  thermal_digests_partial_last_rack();
+  thermal_digests_profiling_reserves_a_rack();
+  g_thermal_sink = nullptr;
+  for (const auto& [key, digest] : table)
+    std::printf("{\"%s\", 0x%016llxull},\n", key.c_str(),
+                static_cast<unsigned long long>(digest));
+}
+
+// ------------------------------------------------- solve property test
+//
+// The CRAC solve as the dense row-major, i-outer mat-vec it was before it
+// learned to skip idle racks, kept verbatim as the oracle.
+ThermalSolution dense_solve(const ThermalConfig& config,
+                            const RecirculationMatrix& matrix,
+                            const std::vector<double>& rack_w,
+                            double derate_factor) {
+  const std::size_t n = matrix.racks();
+  std::vector<double> rise(n, 0.0);
+  double max_rise = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double r = 0.0;
+    for (std::size_t j = 0; j < n; ++j) r += matrix.at(i, j) * rack_w[j];
+    rise[i] = r;
+    max_rise = std::max(max_rise, r);
+  }
+  ThermalSolution out;
+  out.max_rise_c = max_rise;
+  out.supply_c = std::clamp(config.red_line_c - max_rise,
+                            config.min_supply_c, config.max_supply_c);
+  out.peak_inlet_c = out.supply_c + max_rise;
+  out.cop = std::max(0.2, crac_cop(out.supply_c) * derate_factor);
+  return out;
+}
+
+/// One rack's power in watts: mostly a socket rack's range, sometimes
+/// orders of magnitude off it either way.
+double draw_watts(Rng& rng) {
+  if (rng.uniform() < 0.8) return rng.uniform(0.0, 3000.0);
+  return std::pow(10.0, rng.uniform(-12.0, 8.0));
+}
+
+/// A rack power vector of family `kind`: all zero, one drawing rack, ~7%
+/// drawing, dense, signed zeros among the draws, or subnormal draws
+/// (alone, where no normal term can absorb them, or among normal ones).
+std::vector<double> draw_rack_vector(Rng& rng, std::size_t racks, int kind) {
+  constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+  std::vector<double> w(racks, 0.0);
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(racks) - 1));
+  };
+  switch (kind) {
+    case 0:  // all zero, some of it negative zero
+      for (double& x : w)
+        if (rng.uniform() < 0.5) x = -0.0;
+      break;
+    case 1:  // one drawing rack
+      w[pick()] = draw_watts(rng);
+      break;
+    case 2:  // ~7% drawing, the hyperscale run's mean barrier
+      for (double& x : w)
+        if (rng.uniform() < 0.073) x = draw_watts(rng);
+      break;
+    case 3:  // dense
+      for (double& x : w) x = draw_watts(rng);
+      break;
+    case 4:  // signed zeros among sparse draws
+      for (double& x : w) {
+        const double u = rng.uniform();
+        x = u < 0.4 ? -0.0 : (u < 0.5 ? draw_watts(rng) : 0.0);
+      }
+      break;
+    default:  // subnormal draws, alone or with normal ones
+      for (double& x : w) {
+        const double u = rng.uniform();
+        if (u < 0.2)
+          x = kSubnormal * static_cast<double>(rng.uniform_int(1, 1 << 20));
+        else if (u < 0.3)
+          x = -0.0;
+      }
+      if (rng.uniform() < 0.5) w[pick()] = draw_watts(rng);
+      break;
+  }
+  return w;
+}
+
+void expect_same_bits(const ThermalSolution& got, const ThermalSolution& want,
+                      std::size_t draw) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.supply_c),
+            std::bit_cast<std::uint64_t>(want.supply_c))
+      << "draw " << draw;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cop),
+            std::bit_cast<std::uint64_t>(want.cop))
+      << "draw " << draw;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_rise_c),
+            std::bit_cast<std::uint64_t>(want.max_rise_c))
+      << "draw " << draw;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.peak_inlet_c),
+            std::bit_cast<std::uint64_t>(want.peak_inlet_c))
+      << "draw " << draw;
+}
+
+TEST(ThermalSolveProperty, MatchesDenseRowMajorSolveBitForBit) {
+  ThermalConfig tight;  // a second coupling shape: shorter, wider plumes
+  tight.enabled = true;
+  tight.self_coupling_k_per_w = 2.5e-4;
+  tight.row_decay_racks = 1.0;
+  tight.cross_row_coupling = 0.5;
+  tight.cross_row_decay_rows = 2.0;
+  ThermalConfig standard;
+  standard.enabled = true;
+  struct Facility {
+    std::size_t racks_per_row;
+    std::size_t racks;
+    std::size_t draws;
+  };
+  // Row widths 1 and 10; 53 and 533 racks end in a partial row.
+  const Facility facilities[] = {
+      {1, 13, 1700}, {10, 50, 1700}, {10, 53, 1700}, {10, 533, 20}};
+  Rng rng(419);
+  std::size_t draws = 0;
+  for (const ThermalConfig& config : {standard, tight}) {
+    for (const Facility& f : facilities) {
+      TopologyConfig topo;
+      topo.racks_per_row = f.racks_per_row;
+      const ThermalModel model(config, topo, f.racks);
+      for (std::size_t d = 0; d < f.draws; ++d, ++draws) {
+        const std::vector<double> w =
+            draw_rack_vector(rng, f.racks, static_cast<int>(d % 6));
+        const double derate = rng.uniform() < 0.5 ? 1.0 : rng.uniform(0.05, 1.0);
+        expect_same_bits(model.solve(w, derate),
+                         dense_solve(config, model.matrix(), w, derate), draws);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GE(draws, 10'000u);
 }
 
 }  // namespace

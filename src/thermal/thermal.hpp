@@ -9,7 +9,7 @@
 //
 //   1. A dense racks x racks *heat-recirculation matrix* A maps the power
 //      vector P (watts dissipated per rack) to inlet temperature rises:
-//      rise = A * P. The matrix is a pure function of the topology --
+//      rise = A * P, summed over the racks that draw power. The matrix is a pure function of the topology --
 //      racks in the same hot/cold-aisle row couple by distance decay,
 //      adjacent rows couple weaker -- in the spirit of the
 //      cross-interference matrices measured by Tang et al. and used by
@@ -74,7 +74,9 @@ double crac_cop(double supply_c);
 
 /// Dense racks x racks cross-interference matrix: entry (i, j) is the
 /// inlet temperature rise at rack i per watt dissipated in rack j. Built
-/// once from the topology; rows/columns follow global rack ids.
+/// once from the topology; rows/columns follow global rack ids. Every
+/// cell is finite and >= 0 (the constructor checks), which the sparse
+/// solve's exactness argument needs.
 class RecirculationMatrix {
  public:
   RecirculationMatrix(const ThermalConfig& config,
@@ -84,7 +86,13 @@ class RecirculationMatrix {
 
   /// a(i, j): rise at rack i per watt in rack j.
   double at(std::size_t i, std::size_t j) const {
-    return cells_[i * racks_ + j];
+    return cells_[j * racks_ + i];
+  }
+
+  /// Column j, contiguous: a(0, j) .. a(racks() - 1, j), the rise every
+  /// inlet sees per watt in rack j.
+  const double* column(std::size_t j) const {
+    return cells_.data() + j * racks_;
   }
 
   /// Column sum of rack j: the total facility-wide inlet rise one watt
@@ -95,7 +103,7 @@ class RecirculationMatrix {
 
  private:
   std::size_t racks_ = 0;
-  std::vector<double> cells_;    ///< row-major racks_ x racks_
+  std::vector<double> cells_;    ///< column-major racks_ x racks_
   std::vector<double> weights_;  ///< column sums
 };
 
@@ -118,7 +126,9 @@ class ThermalModel {
   const RecirculationMatrix& matrix() const { return matrix_; }
 
   /// Resolve the CRAC operating point for per-rack IT power `rack_w`
-  /// (watts, indexed by global rack id; must have size racks()).
+  /// (watts, indexed by global rack id; must have size racks()). Costs
+  /// O(racks x drawing racks): racks with zero power are skipped, with
+  /// results bit-identical to the dense mat-vec (see thermal.cpp).
   /// `derate_factor` scales the chiller COP (fault injection: a degraded
   /// CRAC window passes < 1); the COP is floored at a small positive
   /// value so cooling power stays finite.

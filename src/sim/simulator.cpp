@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/audit.hpp"
@@ -852,33 +853,55 @@ void DatacenterSim::on_thermal(double t) {
 }
 
 void DatacenterSim::collect_rack_power(std::vector<double>& rack_w) const {
-  // One ascending-p pass. Per-rack sums are ordered by processor id and
-  // racks never straddle shards, so any rack-aligned partition of the
-  // facility produces bit-equal sums (the sharded coordinator relies on
-  // this when it merges shard contributions).
+  // One ascending-p pass, rack by rack. Per-rack sums are ordered by
+  // processor id and racks never straddle shards, so any rack-aligned
+  // partition of the facility produces bit-equal sums (the sharded
+  // coordinator relies on this when it merges shard contributions).
+  //
+  // With sleep off an idle processor draws nothing: idle implies not
+  // running, not reserved and not failed, so the loop below would give it
+  // w = 0 and add nothing. A rack whose processors are all idle is
+  // therefore skipped after one memchr over its idle flags; busy racks
+  // take the per-processor loop unchanged. The skip keeps no state of its
+  // own, so checkpoints and rebuild_derived_state() do not know of it.
   const std::size_t nprocs = knowledge_->procs();
   const std::size_t per_rack = config_.topology.cpus_per_rack;
   const std::size_t top = knowledge_->levels() - 1;
-  for (std::size_t p = 0; p < nprocs; ++p) {
-    double w = 0.0;
-    const std::size_t idx = proc_running_[p];
-    if (idx != kNone) {
-      // Waking gangs draw nothing until activation.
-      if (tasks_[idx].state == TaskState::kRunning)
-        w = knowledge_->power(p, tasks_[idx].level).raw();
-    } else if (reserved_[p]) {
-      w = knowledge_->cluster()
-              .power(knowledge_->global_proc(p), top,
-                     Volts{knowledge_->cluster().levels().vdd_nom[top]})
-              .raw();
-    } else if (sleep_active_ && idle_flags_[p] != 0) {
-      const std::uint8_t depth = sleep_state_[p];
-      const double frac = depth == 0
-                              ? config_.sleep.active_idle_frac
-                              : config_.sleep.states[depth - 1].idle_frac;
-      w = frac * sleep_stock_w_[p];
+  for (std::size_t lo = 0; lo < nprocs;) {
+    // Racks start where global_proc(p) % per_rack == 0; the facility's
+    // last rack may be partial.
+    const std::size_t hi = std::min(
+        nprocs, lo + per_rack - knowledge_->global_proc(lo) % per_rack);
+    if (!sleep_active_ &&
+        std::memchr(idle_flags_.data() + lo, 0, hi - lo) == nullptr) {
+      for (std::size_t p = lo; p < hi; ++p)
+        ISCOPE_AUDIT_CHECK(proc_running_[p] == kNone && !reserved_[p],
+                           "collect_rack_power: idle processor draws power");
+      lo = hi;
+      continue;
     }
-    if (w != 0.0) rack_w[knowledge_->global_proc(p) / per_rack] += w;
+    for (std::size_t p = lo; p < hi; ++p) {
+      double w = 0.0;
+      const std::size_t idx = proc_running_[p];
+      if (idx != kNone) {
+        // Waking gangs draw nothing until activation.
+        if (tasks_[idx].state == TaskState::kRunning)
+          w = knowledge_->power(p, tasks_[idx].level).raw();
+      } else if (reserved_[p]) {
+        w = knowledge_->cluster()
+                .power(knowledge_->global_proc(p), top,
+                       Volts{knowledge_->cluster().levels().vdd_nom[top]})
+                .raw();
+      } else if (sleep_active_ && idle_flags_[p] != 0) {
+        const std::uint8_t depth = sleep_state_[p];
+        const double frac = depth == 0
+                                ? config_.sleep.active_idle_frac
+                                : config_.sleep.states[depth - 1].idle_frac;
+        w = frac * sleep_stock_w_[p];
+      }
+      if (w != 0.0) rack_w[knowledge_->global_proc(p) / per_rack] += w;
+    }
+    lo = hi;
   }
 }
 

@@ -335,7 +335,9 @@ class DatacenterSim {
   /// Accumulate per-rack IT power (running + reserved + idle/sleep
   /// residency) into `rack_w`, indexed by *global* rack id. The caller
   /// zeroes the vector; racks never straddle shards, so per-rack sums are
-  /// identical however the facility is partitioned.
+  /// identical however the facility is partitioned. With sleep off, racks
+  /// whose processors are all idle are skipped after one scan of their
+  /// idle flags, so the cost follows the racks that draw power.
   void collect_rack_power(std::vector<double>& rack_w) const;
   /// Coordinator-push half of the sharded thermal step: stage a solution
   /// for this shard's next kThermal event to apply.

@@ -8,6 +8,12 @@
 namespace iscope {
 
 void ThermalConfig::validate() const {
+  // An infinite coupling would fill the matrix with NaN, and solve() would
+  // then report no rise at all.
+  for (const double v :
+       {red_line_c, min_supply_c, max_supply_c, self_coupling_k_per_w,
+        row_decay_racks, cross_row_coupling, cross_row_decay_rows})
+    ISCOPE_CHECK_ARG(std::isfinite(v), "Thermal: every field must be finite");
   ISCOPE_CHECK_ARG(min_supply_c < max_supply_c,
                    "Thermal: min_supply_c must be below max_supply_c");
   ISCOPE_CHECK_ARG(red_line_c >= max_supply_c,

@@ -63,6 +63,7 @@ struct ThermalConfig {
   double cross_row_coupling = 0.25;
   double cross_row_decay_rows = 1.0;
 
+  /// Throws InvalidArgument unless every field is finite and in range.
   void validate() const;
 };
 

@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "fault/fault.hpp"
 #include "profiling/scanner.hpp"
 #include "result_digest.hpp"
@@ -229,6 +230,66 @@ TEST(ThermalModel, SolveClampsSupplyAndReportsPeak) {
   ThermalSolution derated = model.solve({2000.0, 2000.0, 2000.0, 2000.0}, 0.5);
   EXPECT_DOUBLE_EQ(derated.supply_c, warm.supply_c);
   EXPECT_LT(derated.cop, warm.cop);
+}
+
+TEST(ThermalModel, ValidateRejectsNonFiniteFields) {
+  // An infinite self-coupling used to pass validate(), fill the matrix
+  // with NaN and make solve() report max_rise_c = 0 under any load.
+  TopologyConfig topo;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (double ThermalConfig::*field :
+         {&ThermalConfig::red_line_c, &ThermalConfig::min_supply_c,
+          &ThermalConfig::max_supply_c, &ThermalConfig::self_coupling_k_per_w,
+          &ThermalConfig::row_decay_racks, &ThermalConfig::cross_row_coupling,
+          &ThermalConfig::cross_row_decay_rows}) {
+      ThermalConfig cfg;
+      cfg.enabled = true;
+      cfg.*field = bad;
+      EXPECT_THROW(cfg.validate(), InvalidArgument) << bad;
+      EXPECT_THROW(ThermalModel(cfg, topo, 4), InvalidArgument) << bad;
+    }
+  }
+  ThermalConfig inf_coupling;
+  inf_coupling.self_coupling_k_per_w = std::numeric_limits<double>::infinity();
+  SimConfig sim;
+  sim.thermal = inf_coupling;
+  EXPECT_THROW(sim.validate(), InvalidArgument);
+}
+
+TEST(ThermalModel, MatrixRejectsNonFiniteCells) {
+  // Finite but extreme: the row normalization's numerator and the row sum
+  // both overflow, and inf / inf leaves NaN cells. The solve's exactness
+  // argument needs finite cells, so construction refuses.
+  ThermalConfig cfg;
+  cfg.self_coupling_k_per_w = std::numeric_limits<double>::max();
+  TopologyConfig topo;
+  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_THROW(RecirculationMatrix(cfg, topo, 20), InvalidArgument);
+  // Large but representable couplings build a usable matrix.
+  cfg.self_coupling_k_per_w = 1e300;
+  const RecirculationMatrix m(cfg, topo, 20);
+  for (std::size_t i = 0; i < m.racks(); ++i)
+    for (std::size_t j = 0; j < m.racks(); ++j) {
+      EXPECT_TRUE(std::isfinite(m.at(i, j)));
+      EXPECT_GE(m.at(i, j), 0.0);
+    }
+}
+
+TEST(ThermalModel, ColumnViewMatchesCells) {
+  ThermalConfig cfg;
+  TopologyConfig topo;
+  topo.racks_per_row = 4;
+  const RecirculationMatrix m(cfg, topo, 11);
+  for (std::size_t j = 0; j < m.racks(); ++j) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < m.racks(); ++i) {
+      EXPECT_EQ(m.column(j)[i], m.at(i, j));
+      sum += m.at(i, j);
+    }
+    EXPECT_EQ(sum, m.heat_weight(j));  // same order: i ascending
+  }
 }
 
 // ----------------------------------------------------- off-path identity

@@ -319,5 +319,37 @@ TEST(MinVddProperty, MatchesPlainBisectionBitForBit) {
   EXPECT_GE(draws, 100'000u);
 }
 
+// The one draw family known to make min_vdd's window check reject: with
+// alpha = 1 and no retention floor, f = 8e-11 GHz puts the root within
+// 1e-10 (relative) of vth, so the window's low end r (1 - 1e-10) is at or
+// below vth. The check rejects, every mid is evaluated, and the answer
+// must still be the plain bisection's. No input is known that makes the
+// Newton estimate itself miss, so the check's protective case stays
+// untested (DESIGN.md Sec. 9).
+TEST(MinVddProperty, WindowCheckRejectsNearVth) {
+  VariusParams linear;
+  linear.alpha_power = 1.0;
+  linear.v_floor = 0.0;
+  const VariusModel m(linear, quad_core_layout());
+  Rng rng(131);
+  std::size_t near_vth = 0;
+  for (int chip_i = 0; chip_i < 50; ++chip_i) {
+    for (const CoreVariation& core : m.sample_chip(rng).cores) {
+      for (const double f : {8e-11, 2e-11, 1e-10}) {
+        const Outcome want =
+            outcome_of([&] { return min_vdd_bisection(m, core, f, 2.0); });
+        const Outcome got =
+            outcome_of([&] { return m.min_vdd(core, f, 2.0); });
+        ASSERT_EQ(got, want) << "vth " << core.vth << " f " << f;
+        // At alpha = 1, fmax(v) = k (v - vth) / v = f has the root
+        // vth / (1 - f / k).
+        const double root = core.vth / (1.0 - f / core.speed_k);
+        if (root * (1.0 - 1e-10) <= core.vth) ++near_vth;
+      }
+    }
+  }
+  EXPECT_GT(near_vth, 0u);
+}
+
 }  // namespace
 }  // namespace iscope

@@ -32,11 +32,11 @@ STAGES=(
   "telemetry-smoke report bundle + registry/SimResult cross-check"
   "shard-identity  1-shard bit-identity + worker-count determinism"
   "service         iscope_serve daemon: checkpoint identity, e2e stream-vs-batch, wire fuzz"
-  "thermal         thermal/sleep off-identity + sharded thermal determinism (TSan smoke rides in the tsan stage)"
+  "thermal         thermal/sleep off-identity, sharded determinism, thermal digests, sparse-solve property (TSan smoke rides in the tsan stage)"
   "lint            iscope_lint project invariants (determinism/layering/quantity/telemetry)"
   "tidy            clang-tidy profile, warnings-as-errors (skips if not installed)"
   "ubsan           UBSan rebuild + full tests"
-  "asan            ASan fault-injection + parser-fuzz + checkpoint tests"
+  "asan            ASan fault-injection + parser-fuzz + checkpoint + thermal tests"
   "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon"
   "coverage        src/fault + src/sched line-coverage floor (${COVERAGE_MIN}%)"
   "perfbench       each BENCHMARK.json workload once, outcomes vs perfbench/expected.tsv (opt-in: --stage only)"
@@ -158,15 +158,19 @@ stage_service() {
 stage_thermal() {
   stage "thermal (off-identity + accounting + sharded determinism + sleep)"
   [ -n "$ONLY_STAGE" ] && ensure_strict test_thermal > /dev/null
-  # The subsystem's hard invariant (DESIGN.md Sec. 16): thermal disabled +
-  # sleep off is bit-identical to the pre-subsystem tree, and N-shard
-  # thermal runs are worker-count independent (coordinator-resolved CRAC).
+  # The subsystem's hard invariants (DESIGN.md Sec. 16): thermal disabled +
+  # sleep off is bit-identical to the pre-subsystem tree, N-shard thermal
+  # runs are worker-count independent (coordinator-resolved CRAC), thermal
+  # runs keep their golden digests, and the sparse CRAC solve equals the
+  # dense mat-vec bit for bit.
+  local identity='ThermalOffIdentity.*:ThermalDeterminism.*'
+  identity+=':ThermalDigests.*:ThermalSolveProperty.*'
   ./build-check/strict/tests/test_thermal \
-      --gtest_filter='ThermalOffIdentity.*:ThermalDeterminism.*' > /dev/null \
-      || { echo "thermal: identity/determinism suites failed" >&2; exit 1; }
-  echo "thermal ok: off-identity bitwise, sharded runs worker-independent"
+      --gtest_filter="$identity" > /dev/null \
+      || { echo "thermal: identity/determinism/digest suites failed" >&2; exit 1; }
+  echo "thermal ok: off-identity bitwise, sharded runs worker-independent, digests held, sparse solve exact"
   ./build-check/strict/tests/test_thermal \
-      --gtest_filter='-ThermalOffIdentity.*:ThermalDeterminism.*' > /dev/null \
+      --gtest_filter="-$identity" > /dev/null \
       || { echo "thermal: model/accounting/scheme suites failed" >&2; exit 1; }
   echo "thermal ok: CRAC model, cooling/sleep accounting, ScanTherm schemes"
 }
@@ -204,12 +208,14 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz + checkpoint tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint + thermal tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
   # hostile parser inputs and hostile checkpoint blobs (truncation at
-  # every prefix, out-of-range payloads) -- where lifetime bugs and
-  # over-reads would hide.
-  ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint"
+  # every prefix, out-of-range payloads), and the thermal suite, whose
+  # column pointers and per-rack idle-flag scans end at a partial last
+  # rack -- where lifetime bugs and over-reads would hide.
+  ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint
+              test_thermal"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086

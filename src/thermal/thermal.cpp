@@ -92,7 +92,7 @@ ThermalModel::ThermalModel(const ThermalConfig& config,
 //               max_rise = max(max_rise, r);
 //
 // (tests/test_thermal.cpp keeps it as the oracle), while multiplying only
-// the columns of racks that draw power -- at a barrier of the 533-rack
+// the columns of racks that draw power -- at a barrier of the 534-rack
 // hyperscale run, about one rack in fourteen. The argument:
 //
 //   * Same terms, same order. With j outer and i inner, rise[i] receives
@@ -104,8 +104,9 @@ ThermalModel::ThermalModel(const ThermalConfig& config,
 //   * A skipped term adds nothing. w[j] == 0.0 holds for +0 and -0. Every
 //     cell is finite and >= 0 (the matrix constructor checks), so
 //     a(i, j) * w[j] is +0 or -0. rise[i] starts at +0 and can never
-//     become -0: +0 + -0 is +0, and a sum of two nonzero values that
-//     cancels rounds to +0. So rise[i] + (+-0) == rise[i], bit for bit.
+//     become -0: +0 + -0 is +0, and under round-to-nearest a sum of two
+//     nonzero values that cancels is +0. So rise[i] + (+-0) == rise[i],
+//     bit for bit.
 //     Non-finite or nonzero powers, subnormals included, are never
 //     skipped.
 //   * The maximum is taken over the same rise[i] in the same order.

@@ -9,11 +9,12 @@
 //
 //   1. A dense racks x racks *heat-recirculation matrix* A maps the power
 //      vector P (watts dissipated per rack) to inlet temperature rises:
-//      rise = A * P, summed over the racks that draw power. The matrix is a pure function of the topology --
-//      racks in the same hot/cold-aisle row couple by distance decay,
-//      adjacent rows couple weaker -- in the spirit of the
-//      cross-interference matrices measured by Tang et al. and used by
-//      the geedo0 exemplar's MinHR policy.
+//      rise = A * P, summed over the racks that draw power. The matrix
+//      is a pure function of the topology -- racks in the same
+//      hot/cold-aisle row couple by distance decay, adjacent rows couple
+//      weaker -- in the spirit of the cross-interference matrices
+//      measured by Tang et al. and used by the geedo0 exemplar's MinHR
+//      policy.
 //   2. The CRAC supplies air at T_sup = clamp(red_line - max_rise), i.e.
 //      just cold enough that the hottest inlet stays at the ASHRAE
 //      red-line temperature.

@@ -221,8 +221,11 @@ stage_asan() {
   # shellcheck disable=SC2086
   cmake --build build-check/asan -j "$JOBS" --target $ASAN_TESTS
   for t in $ASAN_TESTS; do
+    # Every suite gates the stage: under set -e a failure on the left of
+    # && would only count for the last suite in the list.
     ASAN_OPTIONS=halt_on_error=1 "./build-check/asan/tests/$t" > /dev/null \
-        && echo "asan ok: $t"
+        || { echo "asan: $t failed" >&2; exit 1; }
+    echo "asan ok: $t"
   done
 }
 
